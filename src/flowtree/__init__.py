@@ -2,6 +2,8 @@
 homogeneous trees, with desk-scale verification of their weighted
 L1 estimates."""
 
+__version__ = "0.1.0"
+
 from .tree import (
     Rel,
     TreeParams,
@@ -73,5 +75,3 @@ from .oracle import (
     spectrum,
     z_heat_column,
 )
-
-__version__ = "0.1.0"

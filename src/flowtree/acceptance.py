@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracle, riesz, sums
-from .heat import jhat_row
+from .heat import j_row, jhat_row
 from .sums import CLAIMED_POWERS, KINDS
 from .tree import TreeParams, Vertex, distance
 from .zline import heat_z, heat_z_row, phi, recurrence_residual
@@ -87,8 +87,7 @@ def check_tree_oracle(_cfg=None) -> CheckResult:
         params = TreeParams(q)
         for t in (0.5, 1.0, 2.0, 4.0):
             profile = oracle.radial_heat_profile(q, t, 25)
-            analytic = jhat_row(t, 8, params, 1e-14) \
-                * np.exp(-0.5 * np.arange(9) * params.log_q)
+            analytic = j_row(t, 8, params, 1e-14)
             rel = np.abs(profile[:9] - analytic) / analytic
             worst = max(worst, float(np.max(rel)))
     return CheckResult(4, "tree matrix oracle (radius 25)", worst <= 1e-6,

@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import acceptance, oracle, riesz, sums
+from . import __version__, acceptance, oracle, riesz, sums
 from .heat import KernelQuery, grad_x, grad_xy, grad_y, kernel
-from .report import Report, __version__
+from .report import Report
 from .riesz import RieszQuery
-from .tree import Rel, TreeParams
+from .tree import Rel, TreeParams, ball_size
 
 
 def _floats(text: str) -> list[float]:
@@ -47,29 +47,24 @@ def _emit(report: Report, args) -> None:
         sys.stdout.write(text)
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Override options from a key=value file; each value is parsed by the
+    ``type=`` function of its option in the subcommand's parser."""
+    options = {a.dest: a for a in parser._actions}
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not hasattr(args, key):
+            key, _, value = (part.strip() for part in line.partition("="))
+            key = key.replace("-", "_")
+            if key not in options:
                 raise SystemExit(f"unknown config key {key!r}")
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                value = value.strip().lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-            elif isinstance(current, list):
-                value = type(current[0])(value) if current else value
-            else:
-                value = value.strip()
+            action = options[key]
+            if isinstance(action.const, bool):  # store_true flags
+                value = value.lower() in ("1", "true", "yes")
+            elif action.type is not None:
+                value = action.type(value)
             setattr(args, key, value)
 
 
@@ -156,8 +151,7 @@ def cmd_spectrum(args) -> int:
         rows.append((q, args.radius, "radial_flow_bounds", lo, hi))
         mins = [oracle.delta_min_eig(q, r) for r in (6, 8, args.radius)]
         rows.append((q, args.radius, "delta_min_trend", mins[0], mins[-1]))
-        size = 1 + sum((q + 1) * q ** (k - 1) for k in range(1, args.radius + 1))
-        if size <= args.dense_max:
+        if ball_size(args.radius, TreeParams(q)) <= args.dense_max:
             model = oracle.build_ball_model(TreeParams(q), args.radius)
             eigs = oracle.spectrum(model)
             rows.append((q, args.radius, "dense_flow_extremes",
@@ -209,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--config", default=None,
                        help="key=value file overriding defaults")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("kernel", help="kernel/gradient value table")
     common(p)
@@ -260,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args)
+    if args.config:
+        _apply_config_file(args, args.parser)
     return args.func(args)
 
 

@@ -5,18 +5,16 @@ factors as q^(-s/2) J(t, d), where
 
     J(t, d) = (2/t) sum_{k>=0} q^(-(d+2k)/2) (d+2k+1) heat_z(t, d+2k+1).
 
-Gradients are exact one- and four-point distance stencils in J; no finite
-differencing is involved. Everything downstream works with two layouts:
+There is one layout: the scaled row jhat(d) = q^(d/2) J(t, d) over all
+d at once, which stays bounded for any radius and removes over/underflow
+from the stratum sums entirely. Gradients are exact one- and four-point
+distance stencils on that row (:func:`scaled_stencils`, chosen per order
+relation by :data:`STENCILS`); no finite differencing is involved.
+Scalar queries, stratum sums and Riesz rows all read this one table.
 
-* scalar values for individual queries (series with a certified
-  geometric-tail stopping rule), and
-* whole rows over d for the sweep engines. Rows are computed in the
-  scaled form jhat(d) = q^(d/2) J(t, d), which stays bounded for any
-  radius and removes over/underflow from the stratum sums entirely.
-
-The combinatorial-Laplacian kernel (counting measure normalization) is
-kept as an independent cross-check route: rescaling its time and
-conjugating by the measure must reproduce the flow kernel exactly.
+The series :func:`j_value` and :func:`combinatorial_kernel` (the
+counting-measure kernel, which after rescaling time and conjugating by
+the measure reproduces the flow kernel) are kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -31,6 +29,20 @@ from .tree import Rel, TreeParams, Vertex, distance, level, relation
 from .zline import heat_z, heat_z_row
 
 DEFAULT_TOL = 1e-12
+
+
+def check_pair(d: int, s: int, rel: Rel) -> None:
+    """Raise ValueError unless (d, s, rel) can describe a pair of vertices."""
+    if d < 0:
+        raise ValueError("distance must be >= 0")
+    if (s - d) % 2 != 0:
+        raise ValueError(f"level sum {s} and distance {d} have different parity")
+    if rel is Rel.EQUAL and d != 0:
+        raise ValueError("equal vertices sit at distance 0")
+    if rel in (Rel.ANCESTOR, Rel.DESCENDANT) and d < 1:
+        raise ValueError("strictly comparable vertices sit at distance >= 1")
+    if rel is Rel.INCOMPARABLE and d < 2:
+        raise ValueError("incomparable vertices sit at distance >= 2")
 
 
 @dataclass(frozen=True)
@@ -50,16 +62,7 @@ class KernelQuery:
     def __post_init__(self) -> None:
         if self.t <= 0:
             raise ValueError(f"time must be positive, got {self.t}")
-        if self.d < 0:
-            raise ValueError("distance must be >= 0")
-        if (self.s - self.d) % 2 != 0:
-            raise ValueError(f"level sum {self.s} and distance {self.d} have different parity")
-        if self.rel is Rel.EQUAL and self.d != 0:
-            raise ValueError("equal vertices sit at distance 0")
-        if self.rel in (Rel.ANCESTOR, Rel.DESCENDANT) and self.d < 1:
-            raise ValueError("strictly comparable vertices sit at distance >= 1")
-        if self.rel is Rel.INCOMPARABLE and self.d < 2:
-            raise ValueError("incomparable vertices sit at distance >= 2")
+        check_pair(self.d, self.s, self.rel)
 
     @classmethod
     def from_vertices(cls, t: float, x: Vertex, y: Vertex) -> "KernelQuery":
@@ -68,7 +71,7 @@ class KernelQuery:
 
 def j_value(t: float, d: int, params: TreeParams, tol: float = DEFAULT_TOL,
             rtol: float = 1e-12) -> float:
-    """Scalar J(t, d) by the positive series.
+    """Scalar J(t, d) by the positive series (oracle for :func:`jhat_row`).
 
     Stops when the certified tail is below ``tol`` absolutely and ``rtol``
     relative to the accumulated value. Term ratios are bounded by
@@ -145,11 +148,6 @@ def j_row(t: float, dmax: int, params: TreeParams, tol: float = DEFAULT_TOL) -> 
     return jhat_row(t, dmax, params, tol) * scale
 
 
-def kernel(query: KernelQuery, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
-    """Flow heat kernel value q^(-s/2) J(t, d)."""
-    return math.exp(-0.5 * query.s * params.log_q) * j_value(query.t, query.d, params, tol)
-
-
 def combinatorial_kernel(t: float, d: int, params: TreeParams,
                          tol: float = DEFAULT_TOL) -> float:
     """Heat kernel of the neighbour-average Laplacian, counting measure.
@@ -177,64 +175,8 @@ def combinatorial_kernel(t: float, d: int, params: TreeParams,
             raise RuntimeError("series failed to terminate")
 
 
-def _is_above(rel: Rel) -> bool:
-    # whether the second vertex lies at or below the first (y <= x)
-    return rel in (Rel.EQUAL, Rel.ANCESTOR)
-
-
-def grad_x(query: KernelQuery, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
-    """First-slot flow gradient: kernel at (x, y) minus at (predecessor(x), y).
-
-    Exact stencil: when y <= x the predecessor moves away from y, giving
-    J(d) - q^(-1/2) J(d+1); otherwise it moves toward y, giving
-    J(d) - q^(-1/2) J(d-1). The level-sum factor q^(-s/2) is common.
-    """
-    pref = math.exp(-0.5 * query.s * params.log_q)
-    rq = math.sqrt(params.q)
-    if _is_above(query.rel):
-        return pref * (j_value(query.t, query.d, params, tol)
-                       - j_value(query.t, query.d + 1, params, tol) / rq)
-    return pref * (j_value(query.t, query.d, params, tol)
-                   - j_value(query.t, query.d - 1, params, tol) / rq)
-
-
-def grad_y(query: KernelQuery, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
-    """Second-slot gradient; the kernel is symmetric, so the stencil mirrors
-    with the roles of the two vertices reversed (case split on x <= y)."""
-    mirrored = {Rel.ANCESTOR: Rel.DESCENDANT, Rel.DESCENDANT: Rel.ANCESTOR}
-    rel = mirrored.get(query.rel, query.rel)
-    return grad_x(KernelQuery(query.t, query.d, query.s, rel), params, tol)
-
-
-_MIXED_STENCIL = {
-    # rel -> distance offsets of (pred(x), y), (x, pred(y)), (pred(x), pred(y))
-    Rel.EQUAL: (1, 1, 0),
-    Rel.ANCESTOR: (1, -1, 0),
-    Rel.DESCENDANT: (-1, 1, 0),
-    Rel.INCOMPARABLE: (-1, -1, -2),
-}
-
-
-def grad_xy(query: KernelQuery, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
-    """Mixed gradient by the exact four-point stencil.
-
-    The distance table per relation is fixed by tree geometry (validated
-    exhaustively against enumeration in the tests); level sums shift by
-    +1, +1, +2 at the three displaced points.
-    """
-    t, d, s = query.t, query.d, query.s
-    oa, ob, oc = _MIXED_STENCIL[query.rel]
-    da, db, dc = d + oa, d + ob, d + oc
-    pref = math.exp(-0.5 * s * params.log_q)
-    rq = math.sqrt(params.q)
-    return pref * (j_value(t, d, params, tol)
-                   - j_value(t, da, params, tol) / rq
-                   - j_value(t, db, params, tol) / rq
-                   + j_value(t, dc, params, tol) / params.q)
-
-
 # ---------------------------------------------------------------------------
-# scaled stencils over whole rows: q^(k/2) x (reduced kernel at distance k)
+# scaled stencils q^(k/2) x (reduced kernel at distance k), rows and points
 # ---------------------------------------------------------------------------
 
 def scaled_stencils(jhat: np.ndarray, params: TreeParams) -> dict[str, np.ndarray]:
@@ -273,3 +215,53 @@ def scaled_stencils(jhat: np.ndarray, params: TreeParams) -> dict[str, np.ndarra
     xy_eq = (1.0 + 1.0 / q) * jhat[0] - 2.0 * jhat[1] / q
     return {"h": h, "g_up": g_up, "g_side": g_side,
             "xy_ud": xy_ud, "xy_mid": xy_mid, "xy_eq": np.array([xy_eq])}
+
+
+#: order relation of (x, y) -> scaled stencil of (grad_x, grad_y, grad_xy).
+#: The predecessor of x moves away from y (``g_up``) when y lies at or
+#: below x and toward y (``g_side``) otherwise; grad_y mirrors this.
+STENCILS = {
+    Rel.EQUAL: ("g_up", "g_up", "xy_eq"),
+    Rel.ANCESTOR: ("g_up", "g_side", "xy_ud"),
+    Rel.DESCENDANT: ("g_side", "g_up", "xy_ud"),
+    Rel.INCOMPARABLE: ("g_side", "g_side", "xy_mid"),
+}
+
+
+def _point_value(query: KernelQuery, key: str, params: TreeParams, tol: float) -> float:
+    # one row of length d+3 serves the kernel and all three gradients
+    st = scaled_stencils(jhat_row(query.t, query.d + 2, params, tol), params)
+    return math.exp(-0.5 * (query.s + query.d) * params.log_q) * float(st[key][query.d])
+
+
+def kernel(query: KernelQuery, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
+    """Flow heat kernel value q^(-s/2) J(t, d)."""
+    return _point_value(query, "h", params, tol)
+
+
+def grad_x(query: KernelQuery, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
+    """First-slot flow gradient: kernel at (x, y) minus at (predecessor(x), y).
+
+    Exact stencil: when y <= x the predecessor moves away from y, giving
+    J(d) - q^(-1/2) J(d+1); otherwise it moves toward y, giving
+    J(d) - q^(-1/2) J(d-1). The level-sum factor q^(-s/2) is common.
+    """
+    return _point_value(query, STENCILS[query.rel][0], params, tol)
+
+
+def grad_y(query: KernelQuery, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
+    """Second-slot gradient; the kernel is symmetric, so the stencil mirrors
+    with the roles of the two vertices reversed (case split on x <= y)."""
+    return _point_value(query, STENCILS[query.rel][1], params, tol)
+
+
+def grad_xy(query: KernelQuery, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
+    """Mixed gradient by the exact four-point stencil.
+
+    The displaced points (predecessor(x), y), (x, predecessor(y)) and
+    (predecessor(x), predecessor(y)) sit at distances fixed by the
+    relation: d+1, d+1, d for equal vertices, d+1, d-1, d (or d-1, d+1,
+    d) for comparable ones and d-1, d-1, d-2 for incomparable ones; level
+    sums shift by +1, +1, +2.
+    """
+    return _point_value(query, STENCILS[query.rel][2], params, tol)

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-__version__ = "0.1.0"
+from . import __version__
 
 
 def _fmt(value) -> str:

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import sums
-from .heat import j_row
+from .heat import STENCILS, check_pair, jhat_row, scaled_stencils
 from .tree import Rel, TreeParams, Vertex, distance, level
 from .zline import heat_z_row
 
@@ -75,35 +75,15 @@ def _integrate_rows(f, a: float, b: float, tol: float,
 
 
 def _gradient_rows(t: float, dmax: int, params: TreeParams, tol: float) -> np.ndarray:
-    """Unscaled first-gradient stencils, stacked [up rows; side rows].
+    """Reduced first-gradient stencils, stacked [up rows; side rows].
 
-    up[d] applies when the base point is at or below the moving vertex,
-    side[d] (d >= 1) otherwise; side[0] is set to zero and never read.
+    The scaled ``g_up`` and ``g_side`` stencils of one jhat row times
+    q^(-d/2). up[d] applies when the base point is at or below the moving
+    vertex, side[d] (d >= 1) otherwise; side[0] is zero and never read.
     """
-    jr = j_row(t, dmax + 1, params, tol)
-    rq = math.sqrt(params.q)
-    up = jr[: dmax + 1] - jr[1: dmax + 2] / rq
-    side = np.zeros(dmax + 1)
-    side[1:] = jr[1: dmax + 1] - jr[: dmax] / rq
-    return np.concatenate([up, side])
-
-
-def _mixed_rows(t: float, dmax: int, params: TreeParams, tol: float) -> np.ndarray:
-    """Unscaled mixed stencils, stacked [comparable rows; incomparable rows].
-
-    Entry 0 of the comparable block is the equal-pair stencil; the
-    incomparable block is valid from d = 2.
-    """
-    jr = j_row(t, dmax + 2, params, tol)
-    q, rq = params.q, math.sqrt(params.q)
-    ud = np.zeros(dmax + 1)
-    ud[0] = (1.0 + 1.0 / q) * jr[0] - 2.0 * jr[1] / rq
-    ud[1:] = ((1.0 + 1.0 / q) * jr[1: dmax + 1]
-              - jr[2: dmax + 2] / rq - jr[: dmax] / rq)
-    mid = np.zeros(dmax + 1)
-    if dmax >= 2:
-        mid[2:] = jr[2: dmax + 1] - 2.0 * jr[1: dmax] / rq + jr[: dmax - 1] / q
-    return np.concatenate([ud, mid])
+    st = scaled_stencils(jhat_row(t, dmax + 1, params, tol), params)
+    scale = np.exp(-0.5 * np.arange(dmax + 1) * params.log_q)
+    return np.concatenate([st["g_up"] * scale, st["g_side"] * scale])
 
 
 def _block_bound(n: int, dmax: int, params: TreeParams) -> np.ndarray:
@@ -130,16 +110,7 @@ class RieszQuery:
     rel: Rel
 
     def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError("distance must be >= 0")
-        if (self.s - self.d) % 2 != 0:
-            raise ValueError("level sum and distance must share parity")
-        if self.rel is Rel.EQUAL and self.d != 0:
-            raise ValueError("equal vertices sit at distance 0")
-        if self.rel in (Rel.ANCESTOR, Rel.DESCENDANT) and self.d < 1:
-            raise ValueError("strictly comparable vertices sit at distance >= 1")
-        if self.rel is Rel.INCOMPARABLE and self.d < 2:
-            raise ValueError("incomparable vertices sit at distance >= 2")
+        check_pair(self.d, self.s, self.rel)
 
 
 @dataclass
@@ -205,7 +176,8 @@ def kernel_rows(params: TreeParams, dmax: int, tol: float = DEFAULT_TOL) -> Kern
 
 
 def _row_pick(rows: np.ndarray, dmax: int, d: int, rel: Rel) -> float:
-    if rel in (Rel.EQUAL, Rel.ANCESTOR):
+    # the first-slot gradient stencil of the pair picks the up or side row
+    if STENCILS[rel][0] == "g_up":
         return float(rows[d])
     return float(rows[dmax + 1 + d])
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heat import jhat_row, jhat_row_tail, scaled_stencils
-from .tree import TreeParams
+from .heat import STENCILS, jhat_row, jhat_row_tail, scaled_stencils
+from .tree import Rel, TreeParams
 from .zline import heat_z_row
 
 KINDS = ("H", "gradX", "gradY", "gradXY")
@@ -168,30 +168,22 @@ def scan(params: TreeParams, t: float, weight=None, tol: float = DEFAULT_TOL,
             raise RuntimeError("stratum scan failed to certify a tail")
 
     jhat = jhat_row(t, k_stop + 2, params, tol * 1e-3)
-    st = scaled_stencils(jhat, params)
+    mag = (lambda a: a) if signed else np.abs
+    st = {key: mag(a[: k_stop + 1]) for key, a in scaled_stencils(jhat, params).items()}
     ks = np.arange(k_stop + 1, dtype=float)
     w = np.exp(weight.log_at(ks))
-    mag = (lambda a: a) if signed else np.abs
     cmid = (q - 1.0) / q
     nmid = np.maximum(ks - 1.0, 0.0)  # number of middle strata at radius k
 
-    h = st["h"][: k_stop + 1]
-    g_up = st["g_up"][: k_stop + 1]
-    g_side = st["g_side"][: k_stop + 1]
-    xy_ud = st["xy_ud"][: k_stop + 1]
-    xy_mid = st["xy_mid"][: k_stop + 1]
-    xy_eq = float(st["xy_eq"][0])
+    def stencils(rel: Rel) -> dict[str, np.ndarray]:
+        # the four kinds for x on a stratum of relation rel to the base y
+        return dict(zip(KINDS, (st["h"], *(st[key] for key in STENCILS[rel]))))
 
     # per-stratum-class contributions; index 0 is overwritten by the
     # single equal-pair stratum below
-    up = {"H": mag(h).copy(), "gradX": mag(g_up).copy(),
-          "gradY": mag(g_side).copy(), "gradXY": mag(xy_ud).copy()}
-    down = {"H": mag(h).copy(), "gradX": mag(g_side).copy(),
-            "gradY": mag(g_up).copy(), "gradXY": mag(xy_ud).copy()}
-    mid = {"H": cmid * mag(h), "gradX": cmid * mag(g_side),
-           "gradY": cmid * mag(g_side), "gradXY": cmid * mag(xy_mid)}
-    eq = {"H": mag(h[0]), "gradX": mag(g_up[0]),
-          "gradY": mag(g_up[0]), "gradXY": mag(np.float64(xy_eq))}
+    up, down = stencils(Rel.ANCESTOR), stencils(Rel.DESCENDANT)
+    mid = {kind: cmid * a for kind, a in stencils(Rel.INCOMPARABLE).items()}
+    eq = {kind: a[0] for kind, a in stencils(Rel.EQUAL).items()}
 
     totals: dict[str, float] = {}
     offsets: dict[str, np.ndarray] = {}

@@ -135,10 +135,6 @@ def flow_measure(v: Vertex, params: TreeParams) -> float:
     return math.exp(v.level * params.log_q)
 
 
-def log_flow_measure(v: Vertex, params: TreeParams) -> float:
-    return v.level * params.log_q
-
-
 def sphere_stratum_count(k: int, j: int, params: TreeParams) -> int:
     """Exact number of vertices at distance k whose geodesic rises j times.
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -84,6 +85,38 @@ def test_config_file_overrides(tmp_path, capsys):
     code, out = _run(capsys, ["walk", "--config", str(cfg)])
     assert code == 0
     assert "walks=2000" in out and "seed=9" in out
+
+
+def test_kernel_config_file_list_values(tmp_path, capsys):
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text("q=2,3\nt=1.0,2.0\nlevel-sum=2\n")
+    code, out = _run(capsys, ["kernel", "--config", str(cfg), "--d", "0,2"])
+    assert code == 0
+    assert "# q=[2, 3]" in out and "# t=[1.0, 2.0]" in out and "# level_sum=2" in out
+    data_lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    assert len(data_lines) == 1 + 2 * 2 * 2
+
+
+def test_kernel_large_time_is_finite(capsys):
+    code, out = _run(capsys, ["kernel", "--t", "1e6"])
+    assert code == 0
+    rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+    assert len(rows) == 9
+    for row in rows:
+        values = [float(v) for v in row.split(",")[5:]]
+        assert all(math.isfinite(v) for v in values)
+        assert values[0] > 0.0
+
+
+def test_version_strings_agree(capsys):
+    import flowtree
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == flowtree.__version__
+    _, out = _run(capsys, ["kernel", "--d", "0"])
+    assert out.splitlines()[0] == f"# flowtree={flowtree.__version__}"
 
 
 def test_output_file(tmp_path, capsys):

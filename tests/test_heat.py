@@ -5,6 +5,7 @@ import pytest
 
 from flowtree import oracle, sums
 from flowtree.heat import (
+    STENCILS,
     KernelQuery,
     combinatorial_kernel,
     grad_x,
@@ -167,23 +168,61 @@ def test_gradient_pointwise_bound_measured_constant():
     assert worst <= 6.0
 
 
-def test_mixed_stencil_distance_table_exhaustive():
-    from flowtree.heat import _MIXED_STENCIL
-
+def test_gradient_stencils_match_kernel_differences_exhaustive():
+    # every pair of the radius-4 ball with both words non-empty: the
+    # stencils chosen per relation must equal the kernel differences at
+    # the displaced points
+    t = 1.3
     center = Vertex(0, (0, 1) * 5)
     verts = enumerate_ball(center, 4, P2)
     for x in verts:
         for y in verts:
-            d = distance(x, y)
-            if d > 8 or not x.word or not y.word:
+            if distance(x, y) > 8 or not x.word or not y.word:
                 continue
-            from flowtree.tree import relation
+            px, py = x.predecessor(), y.predecessor()
+            k = kernel(_q(t, x, y), P2)
+            kx = kernel(_q(t, px, y), P2)
+            ky = kernel(_q(t, x, py), P2)
+            kxy = kernel(_q(t, px, py), P2)
+            scale = 1e-13 * (abs(k) + abs(kx) + abs(ky) + abs(kxy))
+            query = _q(t, x, y)
+            assert grad_x(query, P2) == pytest.approx(k - kx, rel=0, abs=scale)
+            assert grad_y(query, P2) == pytest.approx(k - ky, rel=0, abs=scale)
+            assert grad_xy(query, P2) == pytest.approx(k - kx - ky + kxy, rel=0, abs=scale)
 
-            rel = relation(x, y)
-            oa, ob, oc = _MIXED_STENCIL[rel]
-            assert distance(x.predecessor(), y) == d + oa
-            assert distance(x, y.predecessor()) == d + ob
-            assert distance(x.predecessor(), y.predecessor()) == d + oc
+
+def test_scalar_api_matches_j_value_series():
+    # the scalar API reads one jhat row; j_value sums the series term by
+    # term. Gradients are differences of J values, so their error is
+    # measured against the sum of the magnitudes of the stencil terms.
+    ds = (0, 1, 2, 3, 10, 31, 60)
+    for q in (2, 3, 5, 7):
+        params = TreeParams(q)
+        rq = math.sqrt(q)
+        for t in (2.0**-3, 0.5, 1.0, 8.0, 32.0, 256.0, 2048.0):
+            jv = {d: j_value(t, d, params, 1e-14) for d in
+                  {e for d in ds for e in range(max(d - 2, 0), d + 2)}}
+            for d in ds:
+                rels = {0: (Rel.EQUAL,), 1: (Rel.ANCESTOR, Rel.DESCENDANT)}.get(
+                    d, (Rel.ANCESTOR, Rel.DESCENDANT, Rel.INCOMPARABLE))
+                for rel in rels:
+                    query = KernelQuery(t, d, d, rel)
+                    pref = math.exp(-0.5 * d * params.log_q)
+                    terms = {
+                        "g_up": (jv[d], -jv[d + 1] / rq),
+                        "g_side": (jv[d], -jv.get(d - 1, 0.0) / rq),
+                        "xy_eq": ((1.0 + 1.0 / q) * jv[0], -2.0 * jv[1] / rq),
+                        "xy_ud": ((1.0 + 1.0 / q) * jv[d], -jv[d + 1] / rq,
+                                  -jv.get(d - 1, 0.0) / rq),
+                        "xy_mid": (jv[d], -2.0 * jv.get(d - 1, 0.0) / rq,
+                                   jv.get(d - 2, 0.0) / q),
+                    }
+                    assert kernel(query, params) == pytest.approx(pref * jv[d], rel=1e-11)
+                    for fn, key in zip((grad_x, grad_y, grad_xy), STENCILS[rel]):
+                        ref = terms[key]
+                        assert fn(query, params) == pytest.approx(
+                            pref * sum(ref), rel=0,
+                            abs=1e-11 * pref * sum(abs(v) for v in ref))
 
 
 def test_mixed_gradient_matches_semigroup_convolution():

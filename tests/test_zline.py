@@ -82,6 +82,25 @@ def test_asymptotic_row_matches_library_row():
     assert np.max(np.abs(asym - direct) / direct) < 1e-12
 
 
+def test_fast_row_matches_mpmath_bessel_oracle():
+    # e^(-t) I_n(t) at 50 digits; t up to 2^34 exercises both the scipy
+    # ive route and the large-argument asymptotic row. ive flushes values
+    # below about 1e-306 to zero, so the comparison stops at 1e-300.
+    mpmath = pytest.importorskip("mpmath")
+    ns = (0, 1, 2, 3, 7, 15, 31, 63, 120)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k in range(-3, 35):
+            t = 2.0**k
+            row = heat_z_row(t, 120)
+            for n in ns:
+                exact = mpmath.besseli(n, t) * mpmath.exp(-t)
+                if exact < 1e-300:
+                    continue
+                worst = max(worst, float(abs(row[n] - exact) / exact))
+    assert worst <= 1e-12
+
+
 def test_semigroup_convolution():
     for (t, s, n) in [(0.7, 1.3, 0), (2.0, 2.0, 3), (5.0, 1.0, -2)]:
         total = sum(heat_z(t, n - m) * heat_z(s, m) for m in range(-80, 81))
