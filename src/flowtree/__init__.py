@@ -13,6 +13,7 @@ from .tree import (
     enumerate_ball,
     flow_measure,
     level,
+    pair_strata,
     relation,
     restricted_sphere_sums,
     sphere_stratum_count,

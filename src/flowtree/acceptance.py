@@ -308,12 +308,9 @@ def check_weak_type(_cfg=None) -> CheckResult:
 def check_monte_carlo(_cfg=None, n_walks: int = 1_000_000, seed: int = 74) -> CheckResult:
     params = TreeParams(2)
     config = oracle.WalkConfig(q=2, t=4.0, n_walks=n_walks, seed=seed)
-    targets = [oracle.RelState(0, ()), oracle.RelState(1, ()),
-               oracle.RelState(0, (0,)), oracle.RelState(0, (0, 1)),
-               oracle.RelState(1, (1,))]
-    result = oracle.mc_heat(config, targets)
+    result = oracle.mc_heat(config, oracle.WALK_TARGETS)
     worst = 0.0
-    for tgt in targets:
+    for tgt in oracle.WALK_TARGETS:
         est, err = result.estimate(tgt)
         exact = oracle.analytic_arrival_probability(tgt, 4.0, params)
         worst = max(worst, abs(est - exact) / err)

@@ -166,15 +166,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    params = TreeParams(args.q[0])
-    config = oracle.WalkConfig(q=args.q[0], t=args.t[0], n_walks=args.walks,
-                               seed=args.seed)
-    targets = [oracle.RelState(0, ()), oracle.RelState(1, ()),
-               oracle.RelState(0, (0,)), oracle.RelState(0, (0, 1)),
-               oracle.RelState(1, (1,))]
-    result = oracle.mc_heat(config, targets)
+    params = TreeParams(args.q)
+    config = oracle.WalkConfig(q=args.q, t=args.t, n_walks=args.walks, seed=args.seed)
+    result = oracle.mc_heat(config, oracle.WALK_TARGETS)
     rows = []
-    for tgt in targets:
+    for tgt in oracle.WALK_TARGETS:
         est, err = result.estimate(tgt)
         exact = oracle.analytic_arrival_probability(tgt, config.t, params)
         rows.append((f"up{tgt.up}+{''.join(map(str, tgt.word))}",
@@ -244,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="Monte Carlo walk vs analytic kernel")
     common(p)
-    p.add_argument("--q", type=_ints, default=[2])
-    p.add_argument("--t", type=_floats, default=[4.0])
+    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--t", type=float, default=4.0)
     p.add_argument("--walks", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=74)
     p.set_defaults(func=cmd_walk)

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .tree import Rel, TreeParams, Vertex, distance, level, relation
-from .zline import heat_z, heat_z_row
+from .zline import check_time, heat_z, heat_z_row
 
 DEFAULT_TOL = 1e-12
 
@@ -60,8 +60,7 @@ class KernelQuery:
     rel: Rel
 
     def __post_init__(self) -> None:
-        if self.t <= 0:
-            raise ValueError(f"time must be positive, got {self.t}")
+        check_time(self.t)
         check_pair(self.d, self.s, self.rel)
 
     @classmethod
@@ -78,8 +77,7 @@ def j_value(t: float, d: int, params: TreeParams, tol: float = DEFAULT_TOL,
     (d+2k+3) / (q (d+2k+1)), which is below 5/(3q) < 1 from the second
     term on, so the tail after each term is certified geometric.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t)
     if d < 0:
         raise ValueError("distance must be >= 0")
     q = params.q
@@ -99,17 +97,16 @@ def j_value(t: float, d: int, params: TreeParams, tol: float = DEFAULT_TOL,
             raise RuntimeError("series failed to terminate")
 
 
-def _row_margin(params: TreeParams, tol: float) -> int:
-    # extra entries so the top-of-row truncation, which propagates down
-    # damped by 1/q per two indices, stays far below tol
-    return 2 * int(math.ceil((math.log(1.0 / tol) + 25.0) / params.log_q)) + 12
+def _row_top(dmax: int, params: TreeParams, tol: float) -> int:
+    # extra entries past dmax + 2 so the top-of-row truncation, which
+    # propagates down damped by 1/q per two indices, stays far below tol
+    return dmax + 2 * int(math.ceil((math.log(1.0 / tol) + 25.0) / params.log_q)) + 14
 
 
 @lru_cache(maxsize=256)
 def _jhat_row_cached(t: float, dmax: int, q: int, tol: float) -> np.ndarray:
     params = TreeParams(q)
-    margin = _row_margin(params, tol)
-    top = dmax + margin + 2
+    top = _row_top(dmax, params, tol)
     hz = heat_z_row(t, top + 2)
     v = (np.arange(top + 1) + 1.0) * hz[1: top + 2]
     s = np.empty(top + 1)
@@ -124,8 +121,7 @@ def _jhat_row_cached(t: float, dmax: int, q: int, tol: float) -> np.ndarray:
 
 def jhat_row(t: float, dmax: int, params: TreeParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Scaled row q^(d/2) J(t, d) for d = 0..dmax (read-only)."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t)
     return _jhat_row_cached(float(t), int(dmax), params.q, float(tol))
 
 
@@ -134,8 +130,7 @@ def jhat_row_tail(t: float, dmax: int, params: TreeParams, tol: float = DEFAULT_
 
     Lower entries inherit the same bound damped by q^(-(dmax - d)/2).
     """
-    margin = _row_margin(params, tol)
-    top = dmax + margin + 2
+    top = _row_top(dmax, params, tol)
     hz = heat_z_row(t, top + 4)
     v_top = (top + 1) * hz[top + 1]
     ratio = (top + 3) / (params.q * (top + 1))
@@ -156,8 +151,7 @@ def combinatorial_kernel(t: float, d: int, params: TreeParams,
     q^(-s/2) e^(bt/(1-b)) combinatorial_kernel(t/(1-b), d) equals the flow
     kernel.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t)
     if d < 0:
         raise ValueError("distance must be >= 0")
     q, b = params.q, params.b

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tree import TreeParams, Vertex, distance, enumerate_ball, level
+from .zline import check_time
 
 
 @dataclass
@@ -279,10 +280,10 @@ class WalkConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError("branching number must be >= 2")
-        if self.t <= 0 or self.n_walks <= 0:
-            raise ValueError("need positive horizon and walk count")
+        TreeParams(self.q)  # validates the branching number
+        check_time(self.t)
+        if self.n_walks <= 0:
+            raise ValueError("walk count must be positive")
 
 
 @dataclass(frozen=True)
@@ -301,6 +302,12 @@ class RelState:
     @property
     def level_offset(self) -> int:
         return self.up - len(self.word)
+
+
+#: arrival targets of the walk checks: the start, its predecessor, a
+#: successor, a second-generation successor and a sibling
+WALK_TARGETS = (RelState(0, ()), RelState(1, ()), RelState(0, (0,)),
+                RelState(0, (0, 1)), RelState(1, (1,)))
 
 
 @dataclass

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import sums
 from .heat import STENCILS, check_pair, jhat_row, scaled_stencils
-from .tree import Rel, TreeParams, Vertex, distance, level
+from .tree import Rel, TreeParams, Vertex, distance, level, pair_strata
 from .zline import heat_z_row
 
 DEFAULT_TOL = 1e-9
@@ -138,7 +138,6 @@ class KernelRows:
 def _kernel_rows_cached(q: int, dmax: int, tol: float) -> KernelRows:
     params = TreeParams(q)
     inner = tol * 1e-2
-    dim = 2 * (dmax + 1)
     quad_err = 0.0
 
     def small_time(u: float) -> np.ndarray:
@@ -231,13 +230,10 @@ def small_time_signed_column_sum(params: TreeParams, tol: float = DEFAULT_TOL) -
 
 
 @lru_cache(maxsize=512)
-def _block_scan_sum(q: int, n: int, kind: str, rate: float, poly_c: float,
-                    poly_a: float, tol: float) -> float:
+def _block_scan_sum(q: int, n: int, kind: str, weight, tol: float) -> float:
+    if n < 0:
+        raise ValueError("block index must be >= 0")
     params = TreeParams(q)
-    if poly_a:
-        weight = sums.PolyWeight(poly_c, poly_a)
-    else:
-        weight = sums.ExpWeight(rate)
     inner = tol * 1e-2
 
     def integrand(t: float) -> np.ndarray:
@@ -258,20 +254,15 @@ def kn_weighted_sum(n: int, eps: float, params: TreeParams,
     default weight is exp(eps d / 2^(n/2)); pass a :class:`sums.PolyWeight`
     for the polynomial variant.
     """
-    if n < 0:
-        raise ValueError("block index must be >= 0")
-    if isinstance(weight, sums.PolyWeight):
-        return _block_scan_sum(params.q, n, "gradX", 0.0, weight.c, weight.a, tol)
-    rate = weight.rate if isinstance(weight, sums.ExpWeight) else eps * CZ_SCALE**n
-    return _block_scan_sum(params.q, n, "gradX", rate, 0.0, 0.0, tol)
+    if weight is None:
+        weight = sums.ExpWeight(eps * CZ_SCALE**n)
+    return _block_scan_sum(params.q, n, "gradX", weight, tol)
 
 
 def kn_grad_sum(n: int, eps: float, params: TreeParams,
                 tol: float = DEFAULT_TOL) -> float:
     """Weighted column sum of the second-slot gradient of the block kernel."""
-    if n < 0:
-        raise ValueError("block index must be >= 0")
-    return _block_scan_sum(params.q, n, "gradXY", eps * CZ_SCALE**n, 0.0, 0.0, tol)
+    return _block_scan_sum(params.q, n, "gradXY", sums.ExpWeight(eps * CZ_SCALE**n), tol)
 
 
 @lru_cache(maxsize=64)
@@ -314,34 +305,17 @@ def lipschitz_check(n: int, y: Vertex, z: Vertex, params: TreeParams,
                     tol: float = DEFAULT_TOL, radius: int = 13) -> tuple[float, float]:
     """Column difference sum of the block kernel against its telescoped bound.
 
-    lhs is sum_x |K_n(x, y) - K_n(x, z)| mu(x) over the enumerated ball of
-    the given radius around y; :func:`kn_column_tail` bounds the omitted
-    mass. The bound is d(y, z) times the second-slot gradient column sum
-    of the block. Contract: lhs <= bound + tol.
+    lhs is sum_x |K_n(x, y) - K_n(x, z)| mu(x) over the radius ball around
+    y, counted by :func:`tree.pair_strata`; :func:`kn_column_tail` bounds
+    the omitted mass. The bound is d(y, z) times the second-slot gradient
+    column sum of the block. Contract: lhs <= bound + tol.
     """
-    from collections import Counter
-
-    from .tree import common_prefix_len, enumerate_ball
-
     dyz = distance(y, z)
     dmax = radius + dyz + 2
     rows = _block_rows_cached(params.q, n, dmax, tol)
-    ball = enumerate_ball(y, radius, params)
-    wy, wz = y.word, z.word
     ly, lz = level(y), level(z)
-    combos: Counter = Counter()
-    for x in ball:
-        wx = x.word
-        cy = common_prefix_len(x, y)
-        cz = common_prefix_len(x, z)
-        dy = len(wx) + len(wy) - 2 * cy
-        dz = len(wx) + len(wz) - 2 * cz
-        # at or above the base point iff the base word extends x's word
-        above_y = cy == len(wx)
-        above_z = cz == len(wx)
-        combos[(dy, above_y, dz, above_z, x.level)] += 1
     lhs = 0.0
-    for (dy, above_y, dz, above_z, lx), count in combos.items():
+    for (dy, above_y, dz, above_z, lx), count in pair_strata(y, z, radius, params).items():
         ky = float(rows[dy]) if above_y else float(rows[dmax + 1 + dy])
         kz = float(rows[dz]) if above_z else float(rows[dmax + 1 + dz])
         vy = math.exp(-0.5 * (lx + ly) * params.log_q) * ky
@@ -359,30 +333,16 @@ def weak_type_probe(lambdas, ball_radius: int, params: TreeParams,
     values are plain kernel entries. Level sets are measured exactly on
     sphere strata out to the given radius; the base vertex is normalized
     to level zero, which by homogeneity leaves the full-range sup
-    unchanged.
+    unchanged. The strata are those of :func:`tree.pair_strata`.
     """
     del y  # kernel entries depend on the base point only through its level
-    q = params.q
     dmax = max(32, ball_radius + 2)
-    rows = kernel_rows(params, dmax, tol)
-    tot = rows.total()
-    up = np.abs(tot[: dmax + 1])
-    side = np.abs(tot[dmax + 1:])
-    sup = 0.0
-    for lam in lambdas:
-        mass = 0.0
-        if up[0] > lam:
-            mass += 1.0
-        for k in range(1, ball_radius + 1):
-            # rising stratum: one vertex, |R| = q^(-k/2) up[k], mu = q^k
-            if math.exp(-0.5 * k * params.log_q) * up[k] > lam:
-                mass += float(q) ** k
-            # falling stratum: q^k vertices, |R| = q^(k/2) side[k], mu = q^-k
-            if math.exp(0.5 * k * params.log_q) * side[k] > lam:
-                mass += 1.0
-            for j in range(1, k):
-                o = 2 * j - k
-                if math.exp(-0.5 * o * params.log_q) * side[k] > lam:
-                    mass += (q - 1) * float(q) ** (k - j - 1) * float(q) ** o
-        sup = max(sup, lam * mass)
-    return sup
+    tot = np.abs(kernel_rows(params, dmax, tol).total())
+    base = Vertex(ball_radius, (0,) * ball_radius)
+    strata = pair_strata(base, base, ball_radius, params)
+    d, above, _, _, lx = np.array(list(strata)).T
+    # |R(x, base)| = q^(-level(x)/2) |row(d)|, the up row when x is at or above base
+    value = np.exp(-0.5 * lx * params.log_q) * np.where(above, tot[d], tot[dmax + 1 + d])
+    mass = np.array(list(strata.values()), dtype=float) * np.power(float(params.q), lx)
+    lam = np.asarray(lambdas, dtype=float)
+    return float(np.max(lam * ((value > lam[:, None]) @ mass), initial=0.0))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .heat import STENCILS, jhat_row, jhat_row_tail, scaled_stencils
 from .tree import Rel, TreeParams
-from .zline import heat_z_row
+from .zline import check_time, heat_z_row
 
 KINDS = ("H", "gradX", "gradY", "gradXY")
 
@@ -90,8 +90,7 @@ class SumSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.t <= 0:
-            raise ValueError("time must be positive")
+        check_time(self.t)
         if self.eps < 0:
             raise ValueError("weight exponent must be >= 0")
         if self.eps > 0 and self.t < 1.0:
@@ -149,8 +148,7 @@ def scan(params: TreeParams, t: float, weight=None, tol: float = DEFAULT_TOL,
     cancellation identities); the tail bound is unchanged since it
     majorizes term magnitudes.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    check_time(t)
     if weight is None:
         weight = ExpWeight(0.0)
     q = params.q
@@ -185,6 +183,8 @@ def scan(params: TreeParams, t: float, weight=None, tol: float = DEFAULT_TOL,
     mid = {kind: cmid * a for kind, a in stencils(Rel.INCOMPARABLE).items()}
     eq = {kind: a[0] for kind, a in stencils(Rel.EQUAL).items()}
 
+    from_k = np.minimum(np.abs(np.arange(-k_stop, k_stop + 1)) + 2, k_stop + 1)
+
     totals: dict[str, float] = {}
     offsets: dict[str, np.ndarray] = {}
     per_k: dict[str, np.ndarray] = {}
@@ -200,8 +200,12 @@ def scan(params: TreeParams, t: float, weight=None, tol: float = DEFAULT_TOL,
         buckets[k_stop] = eq[kind]
         buckets[k_stop + 1:] += tu[1:]
         buckets[: k_stop][::-1] += td[1:]
-        for k in range(2, k_stop + 1):
-            buckets[k_stop - k + 2: k_stop + k - 1: 2] += tm[k]
+        # offset o collects the middle strata of every radius k >= |o| + 2
+        # of o's parity: suffix sums per parity class (index k_stop + 1 is 0)
+        suffix = np.zeros(k_stop + 2)
+        for p in (0, 1):
+            suffix[p: k_stop + 1: 2] = np.cumsum(tm[p::2][::-1])[::-1]
+        buckets += suffix[from_k]
         offsets[kind] = buckets
         if kind in ("gradX", "gradY"):
             # comparable part: the rising strata for gradX, mirrored for

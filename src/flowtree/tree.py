@@ -12,13 +12,16 @@ Sphere strata: around a base vertex y, the vertices at distance k split
 into groups by how many of the k geodesic steps go up. A vertex whose
 geodesic rises exactly j times sits on level offset 2j - k. The group
 sizes are exact integers and carry all the combinatorics needed to reduce
-sums over the whole tree to short series; brute-force enumeration exists
-only as a cross-check (see :func:`enumerate_ball`).
+sums over the whole tree to short series. :func:`pair_strata` is the
+two-point counter; :func:`enumerate_ball` serves only the dense matrix
+oracle and the tests.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,8 +37,9 @@ class TreeParams:
     q: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
+        if isinstance(self.q, bool) or not isinstance(self.q, numbers.Integral) or self.q < 2:
             raise ValueError(f"branching number must be an integer >= 2, got {self.q!r}")
+        object.__setattr__(self, "q", int(self.q))  # numpy integers become exact ints
 
     @property
     def b(self) -> float:
@@ -181,12 +185,21 @@ def restricted_sphere_sums(k: int, params: TreeParams) -> tuple[float, float]:
         raise ValueError("radius k must be >= 0")
     if k == 0:
         return 1.0, 1.0
-    q = params.q
     half_power = math.exp(0.5 * k * params.log_q)
     comparable = 2.0 * half_power
     # strata j=0 and j=k both weigh q^(k/2); middle strata weigh (q-1)/q of that
     single_max = half_power
     return comparable, single_max
+
+
+def _check_ball(center: Vertex, radius: int) -> None:
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if radius > len(center.word):
+        raise TruncationError(
+            f"ball of radius {radius} around a vertex with only "
+            f"{len(center.word)} ancestors leaves the truncation"
+        )
 
 
 def enumerate_ball(center: Vertex, radius: int, params: TreeParams,
@@ -197,13 +210,7 @@ def enumerate_ball(center: Vertex, radius: int, params: TreeParams,
     least ``radius`` ancestors below the apex. The successor side is always
     available. Guarded against runaway enumeration.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if radius > len(center.word):
-        raise TruncationError(
-            f"ball of radius {radius} around a vertex with only "
-            f"{len(center.word)} ancestors leaves the truncation"
-        )
+    _check_ball(center, radius)
     out = [center]
     seen = {center.word}
     frontier = [center]
@@ -223,6 +230,35 @@ def enumerate_ball(center: Vertex, radius: int, params: TreeParams,
         frontier = nxt
         if len(out) > max_vertices:
             raise MemoryError(f"ball enumeration exceeded {max_vertices} vertices")
+    return out
+
+
+def pair_strata(y: Vertex, z: Vertex, radius: int, params: TreeParams) -> Counter:
+    """Count the ball of the given radius around y by two-point strata.
+
+    Keys are (d(x, y), x at or above y, d(x, z), x at or above z, level(x)).
+    Only the spine, the geodesics from y and z up to the top of the ball,
+    is walked: the subtrees leaving a spine vertex v through its ``free``
+    children off the spine hold free * q^(r-1) vertices at depth r, each
+    at distance d(v, .) + r from y and from z and above neither.
+    """
+    _check_ball(y, radius)
+    q = params.q
+    top = len(y.word) - radius
+    spine = {y.word[:i] for i in range(top, len(y.word) + 1)}
+    if z.word[:top] == y.word[:top]:
+        spine |= {z.word[:i] for i in range(top, len(z.word) + 1)}
+    out: Counter = Counter()
+    for w in spine:
+        v = Vertex(y.base_level, w)
+        dy, dz = distance(v, y), distance(v, z)
+        if dy > radius:
+            continue
+        out[(dy, y.word[: len(w)] == w, dz, z.word[: len(w)] == w, v.level)] += 1
+        free = q - sum(w + (c,) in spine for c in range(q))
+        if free:
+            for r in range(1, radius - dy + 1):
+                out[(dy + r, False, dz + r, False, v.level - r)] += free * q ** (r - 1)
     return out
 
 

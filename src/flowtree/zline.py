@@ -34,6 +34,12 @@ DEFAULT_TOL = 1e-13
 _IVE_T_MAX = 2.0**29
 
 
+def check_time(t: float) -> None:
+    """Raise ValueError unless t is a positive finite time (NaN fails too)."""
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"time must be positive and finite, got {t}")
+
+
 def heat_z(t: float, n: int, tol: float = DEFAULT_TOL, rtol: float = 1e-12) -> float:
     """Reference series evaluation of the line heat kernel at integer n.
 
@@ -44,8 +50,7 @@ def heat_z(t: float, n: int, tol: float = DEFAULT_TOL, rtol: float = 1e-12) -> f
     two-step term-ratio bound (t/2)^2 / (((m+n)/2+1)((m-n)/2+1)), which
     is decreasing in m and hence certifies a geometric tail once < 1.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t)
     n = abs(n)
     log_t = math.log(t)
     log_half_t = log_t - math.log(2.0)
@@ -107,8 +112,7 @@ def _heat_z_row_cached(t: float, nmax: int) -> np.ndarray:
 
 def heat_z_row(t: float, nmax: int) -> np.ndarray:
     """Fast path: heat_z(t, n) for n = 0..nmax as a read-only array."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     return _heat_z_row_cached(float(t), int(nmax))

@@ -77,6 +77,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # walk runs one configuration; a list must not shrink to its head
+    for option in ("--q", "--t"):
+        with pytest.raises(SystemExit) as exc:
+            main(["walk", option, "2,3"])
+        assert exc.value.code == 2
 
 
 def test_config_file_overrides(tmp_path, capsys):

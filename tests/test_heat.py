@@ -40,6 +40,18 @@ def test_query_validation():
         KernelQuery(-1.0, 0, 0, Rel.EQUAL)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0])
+def test_nonfinite_time_rejected(t):
+    with pytest.raises(ValueError, match="time must be positive"):
+        KernelQuery(t, 0, 0, Rel.EQUAL)
+    with pytest.raises(ValueError, match="time must be positive"):
+        j_value(t, 0, P2)
+    with pytest.raises(ValueError, match="time must be positive"):
+        jhat_row(t, 4, P2)
+    with pytest.raises(ValueError, match="time must be positive"):
+        combinatorial_kernel(t, 0, P2)
+
+
 def test_j_series_first_term_bounds():
     for q in range(2, 8):
         params = TreeParams(q)

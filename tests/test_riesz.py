@@ -5,7 +5,7 @@ import pytest
 
 from flowtree import riesz, sums
 from flowtree.riesz import RieszQuery
-from flowtree.tree import Rel, TreeParams, Vertex, distance
+from flowtree.tree import Rel, TreeParams, Vertex, distance, enumerate_ball, level, relation
 
 P2 = TreeParams(2)
 P3 = TreeParams(3)
@@ -108,6 +108,38 @@ def test_lipschitz_trivial_and_telescoped():
     lhs3, bound3 = riesz.lipschitz_check(1, y, z3, P2, 1e-8, radius=12)
     assert bound3 == pytest.approx(3.0 * bound, rel=1e-9)
     assert lhs3 <= bound3 + 1e-6
+
+
+def test_lipschitz_strata_match_enumerated_ball():
+    # reference: the column difference summed vertex by vertex over the ball
+    y = Vertex(0, (0, 1) * 5)
+    z = Vertex(0, y.word[:-3] + (0, 1))
+    radius, n = 8, 1
+    dmax = radius + distance(y, z) + 2
+    brute = 0.0
+    for x in enumerate_ball(y, radius, P2):
+        ky, kz = (riesz.block_kernel_value(
+            n, RieszQuery(distance(x, b), level(x) + level(b), relation(x, b)),
+            P2, 1e-8, dmax) for b in (y, z))
+        brute += abs(ky - kz) * 2.0 ** level(x)
+    lhs, _ = riesz.lipschitz_check(n, y, z, P2, 1e-8, radius=radius)
+    assert lhs == pytest.approx(brute, rel=1e-12)
+
+
+def test_weak_type_probe_matches_enumerated_ball():
+    # reference: level sets of kernel entries measured vertex by vertex,
+    # on a lambda grid that is not dyadic
+    lambdas = np.geomspace(2.0**-6.3, 2.0**1.7, 17)
+    radius = 8
+    base = Vertex(radius, (0,) * radius)  # level 0
+    values, masses = [], []
+    for x in enumerate_ball(base, radius, P2):
+        query = RieszQuery(distance(x, base), level(x), relation(x, base))
+        values.append(abs(riesz.riesz_kernel(query, P2, 1e-9)))
+        masses.append(2.0 ** level(x))
+    values, masses = np.array(values), np.array(masses)
+    brute = max(lam * float(np.sum(masses[values > lam])) for lam in lambdas)
+    assert riesz.weak_type_probe(lambdas, radius, P2, 1e-9) == pytest.approx(brute, rel=1e-12)
 
 
 def test_weak_type_probe_stability_and_base_independence():

@@ -6,7 +6,7 @@ import pytest
 from flowtree import sums
 from flowtree.heat import KernelQuery, grad_x, grad_xy, grad_y, kernel
 from flowtree.sums import ExpWeight, PolyWeight, SumSpec, fit_decay
-from flowtree.tree import TreeParams, Vertex, distance, enumerate_ball, level
+from flowtree.tree import Rel, TreeParams, Vertex, distance, enumerate_ball, level, pair_strata
 
 P2 = TreeParams(2)
 T_GRID = np.array([1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0])
@@ -20,6 +20,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SumSpec("H", 0.5, eps=1.0)  # weighted estimates need t >= 1
     SumSpec("H", 0.5)  # mass case is fine at small times
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0])
+def test_nonfinite_time_rejected(t):
+    with pytest.raises(ValueError, match="time must be positive"):
+        SumSpec("H", t)
+    with pytest.raises(ValueError, match="time must be positive"):
+        sums.scan(P2, t)
 
 
 def test_mass_and_monotonicity_in_eps():
@@ -99,6 +107,32 @@ def test_horocycle_profile_partitions_total():
         assert float(np.sum(res.offsets[kind])) == pytest.approx(
             res.totals[kind], rel=1e-12)
         assert float(np.max(res.offsets[kind])) <= res.totals[kind]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_offsets_match_brute_force_over_pair_strata(q):
+    # every level-offset bucket against kernels summed over the two-point
+    # strata of the whole certified window around a level-0 base vertex
+    params = TreeParams(q)
+    t, rate = 1.0, 0.3
+    res = sums.scan(params, t, ExpWeight(rate))
+    k = res.k_stop
+    assert k <= 15
+    base = Vertex(k, (0,) * k)
+    fns = {"H": kernel, "gradX": grad_x, "gradY": grad_y, "gradXY": grad_xy}
+    brute = {kind: np.zeros(2 * k + 1) for kind in sums.KINDS}
+    for (d, above, _, _, lx), count in pair_strata(base, base, k, params).items():
+        if above:
+            rel = Rel.EQUAL if d == 0 else Rel.ANCESTOR
+        else:
+            rel = Rel.DESCENDANT if lx == -d else Rel.INCOMPARABLE
+        query = KernelQuery(t, d, lx, rel)
+        w = count * math.exp(rate * d) * float(q) ** lx
+        for kind, fn in fns.items():
+            brute[kind][lx + k] += w * abs(fn(query, params, 1e-13))
+    for kind in sums.KINDS:
+        scale = float(np.max(res.offsets[kind]))
+        assert np.max(np.abs(brute[kind] - res.offsets[kind])) <= 1e-12 * scale, kind
 
 
 def test_horocycle_sup_examples():

@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from flowtree.tree import (
     flow_measure,
     level,
     meet,
+    pair_strata,
     relation,
     restricted_sphere_sums,
     sphere_stratum_count,
@@ -28,6 +31,11 @@ P3 = TreeParams(3)
 def test_params_validation():
     with pytest.raises(ValueError):
         TreeParams(1)
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="must be an integer >= 2"):
+            TreeParams(bad)
+    assert TreeParams(np.int64(3)) == TreeParams(3)
+    assert type(TreeParams(np.int64(3)).q) is int
     for q in (2, 3, 7):
         b = TreeParams(q).b
         assert 0.0 < b < 1.0
@@ -164,6 +172,36 @@ def test_stratum_profile_base_point_independent():
             profile[(k, j)] = profile.get((k, j), 0) + 1
         assert all(profile[(k, j)] == sphere_stratum_count(k, j, P2)
                    for (k, j) in profile)
+
+
+def _strata_by_enumeration(y, z, radius, params):
+    out = Counter()
+    for x in enumerate_ball(y, radius, params):
+        n = len(x.word)
+        out[(distance(x, y), y.word[:n] == x.word,
+             distance(x, z), z.word[:n] == x.word, level(x))] += 1
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pair_strata_match_enumeration(q):
+    params = TreeParams(q)
+    y = Vertex(2, tuple(i % q for i in range(8)))
+    partners = {
+        "equal": y,
+        "ancestor": Vertex(2, y.word[:3]),           # d = 5
+        "descendant": Vertex(2, y.word + (0, 1, 0)),  # d = 3
+        "incomparable": Vertex(2, y.word[:6] + ((y.word[6] + 1) % q, 0)),  # d = 4
+        "above the ball": Vertex(2, ()),
+    }
+    for name, z in partners.items():
+        assert distance(y, z) <= 5 or name == "above the ball"
+        for radius in range(0, len(y.word) + 1):
+            got = pair_strata(y, z, radius, params)
+            assert got == _strata_by_enumeration(y, z, radius, params), (name, radius)
+            assert sum(got.values()) == ball_size(radius, params)
+    with pytest.raises(TruncationError):
+        pair_strata(y, y, len(y.word) + 1, params)
 
 
 def test_vertex_serialization():

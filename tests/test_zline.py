@@ -27,6 +27,14 @@ def test_heat_z_basic_values():
         heat_z(-1.0, 0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_nonfinite_time_rejected(t):
+    with pytest.raises(ValueError, match="time must be positive"):
+        heat_z(t, 1)
+    with pytest.raises(ValueError, match="time must be positive"):
+        heat_z_row(t, 4)
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 10.0])
 def test_heat_z_unit_mass(t):
     total = weighted_l1(t, 0.0, enforce_time_floor=False)
