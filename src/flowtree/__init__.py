@@ -23,6 +23,7 @@ from .zline import (
     comparability_ratio,
     heat_z,
     heat_z_row,
+    heat_z_rows,
     phi,
     recurrence_residual,
     weighted_l1,
@@ -47,6 +48,7 @@ from .sums import (
     horocycle_sup,
     q_uniformity,
     scan,
+    scan_many,
     split_gradient_sum,
     sweep,
     weighted_sum,

@@ -12,6 +12,13 @@ distance stencils on that row (:func:`scaled_stencils`, chosen per order
 relation by :data:`STENCILS`); no finite differencing is involved.
 Scalar queries, stratum sums and Riesz rows all read this one table.
 
+The time axis is a batch axis: :func:`jhat_rows` computes the rows of a
+whole vector of times from one block of line-kernel rows
+(:func:`jhat_from_z_rows`, which the stratum scan feeds directly),
+summing the back-recursion by recursive doubling in about log2 of the
+row length vector adds. :func:`jhat_row` and :func:`jhat_row_tail` are
+one-time views of that core.
+
 The series :func:`j_value` and :func:`combinatorial_kernel` (the
 counting-measure kernel, which after rescaling time and conjugating by
 the measure reproduces the flow kernel) are kept as independent oracles.
@@ -26,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .tree import Rel, TreeParams, Vertex, distance, level, relation
-from .zline import check_time, heat_z, heat_z_row
+from .zline import check_time, heat_z, heat_z_rows
 
 DEFAULT_TOL = 1e-12
 
@@ -97,31 +104,59 @@ def j_value(t: float, d: int, params: TreeParams, tol: float = DEFAULT_TOL,
             raise RuntimeError("series failed to terminate")
 
 
-def _row_top(dmax: int, params: TreeParams, tol: float) -> int:
-    # extra entries past dmax + 2 so the top-of-row truncation, which
-    # propagates down damped by 1/q per two indices, stays far below tol
+def row_top(dmax: int, params: TreeParams, tol: float) -> int:
+    """Last index of the back-recursion behind a jhat row up to dmax.
+
+    The entries past dmax + 2 keep the top-of-row truncation, which
+    propagates down damped by 1/q per two indices, far below tol.
+    """
     return dmax + 2 * int(math.ceil((math.log(1.0 / tol) + 25.0) / params.log_q)) + 14
+
+
+def jhat_from_z_rows(ts: np.ndarray, hz: np.ndarray, dmax, params: TreeParams,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled rows and their top-entry truncation bounds from line rows.
+
+    ``hz`` holds one heat_z row per time in ``ts``, at least
+    row_top(dmax) + 3 entries long; ``dmax`` is one int or one per time.
+    Returns (rows, tails) with max(dmax) + 1 columns; each row is exact up
+    to its own dmax and equals the row computed alone bitwise.
+    """
+    tops = np.broadcast_to(row_top(np.asarray(dmax), params, tol), ts.shape)
+    width = int(tops.max()) + 1
+    m = np.arange(width)
+    # s[m] = v[m] + s[m+2]/q, truncated past each row's top, summed by
+    # recursive doubling: after the step with shift k, s[m] holds the
+    # terms v[m + 2j] q^(-j) for j < k, so log2(top) vector adds suffice
+    s = np.where(m <= tops[:, None], (m + 1.0) * hz[:, 1: width + 1], 0.0)
+    a, k = 1.0 / params.q, 2
+    while k < width:
+        s[:, :-k] += a * s[:, k:]
+        a, k = a * a, 2 * k
+    rows = (2.0 / ts[:, None]) * s[:, : int(np.max(dmax)) + 1]
+    v_top = (tops + 1) * hz[np.arange(len(ts)), tops + 1]
+    ratio = (tops + 3) / (params.q * (tops + 1))
+    tails = (2.0 / ts) * v_top * ratio / np.maximum(1.0 - ratio, 1e-9)
+    return rows, tails
+
+
+def jhat_rows(ts, dmax: int, params: TreeParams, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Scaled rows q^(d/2) J(t, d) for d = 0..dmax, one row per time in ``ts``."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    hz = heat_z_rows(ts, row_top(dmax, params, tol) + 2)
+    return jhat_from_z_rows(ts, hz, dmax, params, tol)[0]
 
 
 @lru_cache(maxsize=256)
 def _jhat_row_cached(t: float, dmax: int, q: int, tol: float) -> np.ndarray:
-    params = TreeParams(q)
-    top = _row_top(dmax, params, tol)
-    hz = heat_z_row(t, top + 2)
-    v = (np.arange(top + 1) + 1.0) * hz[1: top + 2]
-    s = np.empty(top + 1)
-    s[top] = v[top]
-    s[top - 1] = v[top - 1]
-    for m in range(top - 2, -1, -1):
-        s[m] = v[m] + s[m + 2] / q
-    row = (2.0 / t) * s[: dmax + 1]
+    row = jhat_rows([t], dmax, TreeParams(q), tol)[0]
     row.setflags(write=False)
     return row
 
 
 def jhat_row(t: float, dmax: int, params: TreeParams, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Scaled row q^(d/2) J(t, d) for d = 0..dmax (read-only)."""
-    check_time(t)
+    """Scaled row q^(d/2) J(t, d) for d = 0..dmax (read-only): the cached
+    one-time view of :func:`jhat_rows`."""
     return _jhat_row_cached(float(t), int(dmax), params.q, float(tol))
 
 
@@ -130,11 +165,9 @@ def jhat_row_tail(t: float, dmax: int, params: TreeParams, tol: float = DEFAULT_
 
     Lower entries inherit the same bound damped by q^(-(dmax - d)/2).
     """
-    top = _row_top(dmax, params, tol)
-    hz = heat_z_row(t, top + 4)
-    v_top = (top + 1) * hz[top + 1]
-    ratio = (top + 3) / (params.q * (top + 1))
-    return (2.0 / t) * v_top * ratio / max(1.0 - ratio, 1e-9)
+    ts = np.array([t], dtype=float)
+    hz = heat_z_rows(ts, row_top(dmax, params, tol) + 2)
+    return float(jhat_from_z_rows(ts, hz, dmax, params, tol)[1][0])
 
 
 def j_row(t: float, dmax: int, params: TreeParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -176,8 +209,9 @@ def combinatorial_kernel(t: float, d: int, params: TreeParams,
 def scaled_stencils(jhat: np.ndarray, params: TreeParams) -> dict[str, np.ndarray]:
     """All scaled kernel stencils on a jhat row of length kmax + 2.
 
-    Returns arrays indexed by k = 0..kmax (entries below their minimal k
-    are zero):
+    The row is the last axis, so a stack of rows (one per time) gives
+    stacked stencils. Returns arrays indexed by k = 0..kmax on that axis
+    (entries below their minimal k are zero; ``xy_eq`` has length 1):
 
     ===========  =============================================  ==========
     key          scaled value at distance k                     valid k
@@ -196,19 +230,19 @@ def scaled_stencils(jhat: np.ndarray, params: TreeParams) -> dict[str, np.ndarra
     for comparable and incomparable pairs respectively.
     """
     q = params.q
-    kmax = len(jhat) - 2
-    h = jhat[: kmax + 1]
-    g_up = h - jhat[1: kmax + 2] / q
-    g_side = np.zeros(kmax + 1)
-    g_side[1:] = h[1:] - h[:-1]
-    xy_ud = np.zeros(kmax + 1)
-    xy_ud[1:] = (1.0 + 1.0 / q) * h[1:] - jhat[2: kmax + 2] / q - h[:-1]
-    xy_mid = np.zeros(kmax + 1)
+    kmax = jhat.shape[-1] - 2
+    h = jhat[..., : kmax + 1]
+    g_up = h - jhat[..., 1: kmax + 2] / q
+    g_side = np.zeros_like(h)
+    g_side[..., 1:] = h[..., 1:] - h[..., :-1]
+    xy_ud = np.zeros_like(h)
+    xy_ud[..., 1:] = (1.0 + 1.0 / q) * h[..., 1:] - jhat[..., 2: kmax + 2] / q - h[..., :-1]
+    xy_mid = np.zeros_like(h)
     if kmax >= 2:
-        xy_mid[2:] = h[2:] - 2.0 * h[1:-1] + h[:-2]
-    xy_eq = (1.0 + 1.0 / q) * jhat[0] - 2.0 * jhat[1] / q
+        xy_mid[..., 2:] = h[..., 2:] - 2.0 * h[..., 1:-1] + h[..., :-2]
+    xy_eq = (1.0 + 1.0 / q) * jhat[..., :1] - 2.0 * jhat[..., 1:2] / q
     return {"h": h, "g_up": g_up, "g_side": g_side,
-            "xy_ud": xy_ud, "xy_mid": xy_mid, "xy_eq": np.array([xy_eq])}
+            "xy_ud": xy_ud, "xy_mid": xy_mid, "xy_eq": xy_eq}
 
 
 #: order relation of (x, y) -> scaled stencil of (grad_x, grad_y, grad_xy).

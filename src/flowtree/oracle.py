@@ -86,25 +86,31 @@ class Operators:
     grad_star: np.ndarray
 
 
-def assemble_operators(model: BallModel, max_dense: int = 25_000) -> Operators:
-    n = model.size
-    if n > max_dense:
-        raise MemoryError(f"ball of {n} vertices exceeds the dense guard {max_dense}")
-    q = model.params.q
-    adj = np.zeros((n, n))
-    pred = np.zeros((n, n))
-    for i, v in enumerate(model.vertices):
-        if v.word:
-            j = model.index.get(v.word[:-1])
-            if j is not None:
-                adj[i, j] = adj[j, i] = 1.0
-                pred[i, j] = 1.0
-    rq = math.sqrt(q)
-    eye = np.eye(n)
+#: largest ball, in vertices, that the dense models accept
+MAX_DENSE = 25_000
+
+
+def _adjacency(model: BallModel, max_dense: int = MAX_DENSE) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ball adjacency and the (vertex, predecessor) index pairs."""
+    if model.size > max_dense:
+        raise MemoryError(f"ball of {model.size} vertices exceeds the dense guard {max_dense}")
+    pairs = np.array([(i, model.index[v.word[:-1]]) for i, v in enumerate(model.vertices)
+                      if v.word and v.word[:-1] in model.index], dtype=int).reshape(-1, 2)
+    adj = np.zeros((model.size, model.size))
+    adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
+    return adj, pairs
+
+
+def assemble_operators(model: BallModel, max_dense: int = MAX_DENSE) -> Operators:
+    adj, pairs = _adjacency(model, max_dense)
+    pred = np.zeros_like(adj)
+    pred[pairs[:, 0], pairs[:, 1]] = 1.0
+    rq = math.sqrt(model.params.q)
+    eye = np.eye(model.size)
     return Operators(
         adjacency=adj,
         predecessor=pred,
-        delta=eye - adj / (q + 1),
+        delta=eye - adj / (model.params.q + 1),
         flow=eye - adj / (2.0 * rq),
         grad=eye - pred / rq,
         grad_star=eye - pred.T / rq,
@@ -112,10 +118,17 @@ def assemble_operators(model: BallModel, max_dense: int = 25_000) -> Operators:
 
 
 def spectrum(model: BallModel, ops: Operators | None = None) -> np.ndarray:
-    """Sorted eigenvalues of the symmetric flow Laplacian matrix."""
-    if ops is None:
-        ops = assemble_operators(model)
-    return np.linalg.eigvalsh(ops.flow)
+    """Sorted eigenvalues of the symmetric flow Laplacian matrix.
+
+    Without ``ops`` only the adjacency is built, and it is turned into
+    I - A/(2 sqrt q) in place.
+    """
+    if ops is not None:
+        return np.linalg.eigvalsh(ops.flow)
+    flow, _ = _adjacency(model)
+    flow *= -1.0 / (2.0 * math.sqrt(model.params.q))
+    flow[np.diag_indices_from(flow)] += 1.0
+    return np.linalg.eigvalsh(flow)
 
 
 def heat_matrix(model: BallModel, t: float, ops: Operators | None = None) -> np.ndarray:

@@ -5,10 +5,12 @@ t^(-1/2) grad_x H_t, split into a small-time piece over (0, 1) and dyadic
 blocks [2^n, 2^(n+1)]. Each block is integrated by composite Gauss rules
 on doubling subdivisions until two successive refinements agree below the
 requested tolerance; the (0, 1) piece is integrated in u = sqrt(t), which
-removes the endpoint singularity. Far blocks are cut once an a priori
-bound (power decay of the integrand drawn from the pointwise kernel
-bounds) falls below tolerance, and that bound is carried as part of the
-reported error.
+removes the endpoint singularity. Each integrand takes the 16 nodes of
+one panel as an array, so a panel costs one call into the batched cores
+:func:`sums.scan_many` and :func:`heat.jhat_rows`. Far blocks are cut
+once an a priori bound (power decay of the integrand drawn from the
+pointwise kernel bounds) falls below tolerance, and that bound is
+carried as part of the reported error.
 
 Because kernels depend only on distance, level sum and order relation,
 whole kernel columns reduce to a pair of rows per block: one for moving
@@ -32,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import sums
-from .heat import STENCILS, check_pair, jhat_row, scaled_stencils
+from .heat import STENCILS, check_pair, jhat_rows, scaled_stencils
 from .tree import Rel, TreeParams, Vertex, distance, level, pair_strata
 from .zline import heat_z_row
 
@@ -49,11 +51,13 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 def _integrate_rows(f, a: float, b: float, tol: float,
                     max_panels: int = 256) -> tuple[np.ndarray, float]:
-    """Composite 16-point Gauss with panel doubling; f maps t to a row.
+    """Composite 16-point Gauss with panel doubling.
 
-    Returns (value, error estimate), the estimate being the difference of
-    the last two refinements, capped at the requested tolerance by the
-    doubling loop whenever the budget allows.
+    f maps the 16 nodes of one panel, as an array, to one row per node;
+    it is called once per panel. Returns (value, error estimate), the
+    estimate being the difference of the last two refinements, capped at
+    the requested tolerance by the doubling loop whenever the budget
+    allows.
     """
     prev = None
     panels = 1
@@ -63,9 +67,8 @@ def _integrate_rows(f, a: float, b: float, tol: float,
         for i in range(panels):
             mid = 0.5 * (edges[i] + edges[i + 1])
             half = 0.5 * (edges[i + 1] - edges[i])
-            for x, w in zip(_GAUSS_X, _GAUSS_W):
-                row = (half * w) * f(mid + half * x)
-                total = row if total is None else total + row
+            part = (half * _GAUSS_W) @ f(mid + half * _GAUSS_X)
+            total = part if total is None else total + part
         if prev is not None:
             err = float(np.max(np.abs(total - prev)))
             if err <= tol or panels >= max_panels:
@@ -74,16 +77,17 @@ def _integrate_rows(f, a: float, b: float, tol: float,
         panels *= 2
 
 
-def _gradient_rows(t: float, dmax: int, params: TreeParams, tol: float) -> np.ndarray:
-    """Reduced first-gradient stencils, stacked [up rows; side rows].
+def _gradient_rows(ts: np.ndarray, dmax: int, params: TreeParams, tol: float) -> np.ndarray:
+    """Reduced first-gradient stencils, stacked [up rows; side rows], one
+    stack per time in ``ts``.
 
-    The scaled ``g_up`` and ``g_side`` stencils of one jhat row times
+    The scaled ``g_up`` and ``g_side`` stencils of the jhat rows times
     q^(-d/2). up[d] applies when the base point is at or below the moving
     vertex, side[d] (d >= 1) otherwise; side[0] is zero and never read.
     """
-    st = scaled_stencils(jhat_row(t, dmax + 1, params, tol), params)
+    st = scaled_stencils(jhat_rows(ts, dmax + 1, params, tol), params)
     scale = np.exp(-0.5 * np.arange(dmax + 1) * params.log_q)
-    return np.concatenate([st["g_up"] * scale, st["g_side"] * scale])
+    return np.concatenate([st["g_up"] * scale, st["g_side"] * scale], axis=-1)
 
 
 def _block_bound(n: int, dmax: int, params: TreeParams) -> np.ndarray:
@@ -140,7 +144,7 @@ def _kernel_rows_cached(q: int, dmax: int, tol: float) -> KernelRows:
     inner = tol * 1e-2
     quad_err = 0.0
 
-    def small_time(u: float) -> np.ndarray:
+    def small_time(u: np.ndarray) -> np.ndarray:
         return 2.0 * _gradient_rows(u * u, dmax, params, inner)
 
     r0, err = _integrate_rows(small_time, 0.0, 1.0, inner)
@@ -155,7 +159,7 @@ def _kernel_rows_cached(q: int, dmax: int, tol: float) -> KernelRows:
             tail = 2.0 * bound  # geometric in the block index, ratio 1/2
             break
         blk, err = _integrate_rows(
-            lambda t: t**-0.5 * _gradient_rows(t, dmax, params, inner),
+            lambda t: t[:, None]**-0.5 * _gradient_rows(t, dmax, params, inner),
             2.0**n, 2.0**(n + 1), inner)
         blocks.append(blk / math.sqrt(math.pi))
         quad_err += err
@@ -209,9 +213,9 @@ def small_time_column_sums(params: TreeParams, tol: float = DEFAULT_TOL) -> tupl
     """
     inner = tol * 1e-2
 
-    def integrand(u: float) -> np.ndarray:
-        res = sums.scan(params, u * u, sums.ExpWeight(0.0), inner)
-        return 2.0 * np.array([res.totals["gradX"], res.totals["gradY"]])
+    def integrand(u: np.ndarray) -> np.ndarray:
+        scans = sums.scan_many(params, u * u, sums.ExpWeight(0.0), inner)
+        return 2.0 * np.array([[r.totals["gradX"], r.totals["gradY"]] for r in scans])
 
     vals, _ = _integrate_rows(integrand, 0.0, 1.0, tol)
     return float(vals[0] / math.sqrt(math.pi)), float(vals[1] / math.sqrt(math.pi))
@@ -221,9 +225,9 @@ def small_time_signed_column_sum(params: TreeParams, tol: float = DEFAULT_TOL) -
     """Signed column sum of the small-time piece; zero by mass conservation."""
     inner = tol * 1e-2
 
-    def integrand(u: float) -> np.ndarray:
-        res = sums.scan(params, u * u, sums.ExpWeight(0.0), inner, signed=True)
-        return np.array([2.0 * res.totals["gradX"]])
+    def integrand(u: np.ndarray) -> np.ndarray:
+        scans = sums.scan_many(params, u * u, sums.ExpWeight(0.0), inner, signed=True)
+        return np.array([[2.0 * r.totals["gradX"]] for r in scans])
 
     vals, _ = _integrate_rows(integrand, 0.0, 1.0, tol)
     return float(vals[0] / math.sqrt(math.pi))
@@ -236,9 +240,9 @@ def _block_scan_sum(q: int, n: int, kind: str, weight, tol: float) -> float:
     params = TreeParams(q)
     inner = tol * 1e-2
 
-    def integrand(t: float) -> np.ndarray:
-        res = sums.scan(params, t, weight, inner)
-        return np.array([t**-0.5 * res.totals[kind]])
+    def integrand(t: np.ndarray) -> np.ndarray:
+        scans = sums.scan_many(params, t, weight, inner)
+        return t[:, None]**-0.5 * np.array([[r.totals[kind]] for r in scans])
 
     vals, _ = _integrate_rows(integrand, 2.0**n, 2.0**(n + 1), tol)
     return float(vals[0] / math.sqrt(math.pi))
@@ -270,7 +274,7 @@ def _block_rows_cached(q: int, n: int, dmax: int, tol: float) -> np.ndarray:
     """Reduced block-n rows, stacked [up; side]; multiply by q^(-s/2)."""
     params = TreeParams(q)
     rows, _ = _integrate_rows(
-        lambda t: t**-0.5 * _gradient_rows(t, dmax, params, tol * 1e-2),
+        lambda t: t[:, None]**-0.5 * _gradient_rows(t, dmax, params, tol * 1e-2),
         2.0**n, 2.0**(n + 1), tol)
     return rows / math.sqrt(math.pi)
 
@@ -292,10 +296,11 @@ def kn_column_tail(n: int, k_min: int, params: TreeParams,
     """Bound for the block-n weighted gradient column mass at distance >= k_min."""
     inner = tol * 1e-2
 
-    def integrand(t: float) -> np.ndarray:
-        res = sums.scan(params, t, sums.ExpWeight(0.0), inner)
-        beyond = float(np.sum(res.per_k["gradX"][k_min:])) if k_min <= res.k_stop else 0.0
-        return np.array([t**-0.5 * (beyond + res.tail + res.row_slack)])
+    def integrand(t: np.ndarray) -> np.ndarray:
+        scans = sums.scan_many(params, t, sums.ExpWeight(0.0), inner)
+        beyond = np.array([float(np.sum(r.per_k["gradX"][k_min:])) + r.tail + r.row_slack
+                           for r in scans])
+        return (t**-0.5 * beyond)[:, None]
 
     vals, err = _integrate_rows(integrand, 2.0**n, 2.0**(n + 1), tol, max_panels=4)
     return float(vals[0] / math.sqrt(math.pi)) + err

@@ -14,6 +14,11 @@ pass, the four kernel kinds, their level-restricted profiles (one bucket
 per level offset), the comparable/incomparable split of the first
 gradient, and a certified bound for the truncated tail.
 
+:func:`scan_many` runs that pass for a whole vector of times in shared
+numpy arrays, from one block of line-kernel rows per round of the
+stopping rule; :func:`scan` is its one-time view, and each result equals
+the scan of that time alone.
+
 Tail certification uses three elementary facts, each also exercised by
 the test suite: the line kernel is non-increasing in the space variable,
 its one-step ratios are non-increasing (so an observed ratio bounds all
@@ -27,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heat import STENCILS, jhat_row, jhat_row_tail, scaled_stencils
+from .heat import STENCILS, jhat_from_z_rows, row_top, scaled_stencils
 from .tree import Rel, TreeParams
-from .zline import check_time, heat_z_row
+from .zline import check_time, heat_z_rows
 
 KINDS = ("H", "gradX", "gradY", "gradXY")
 
@@ -116,59 +121,50 @@ class ScanResult:
         return float(self.offsets[kind][offset + self.k_stop])
 
 
-def _stop_index(t: float, weight, log_hz: np.ndarray, hz: np.ndarray,
-                cap: int, tol: float) -> tuple[int, float] | None:
-    """First k whose certified tail falls below tol/2, or None within cap."""
+def _stop_indices(ts: np.ndarray, weight, hz: np.ndarray, cap: int,
+                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per time: first k <= cap whose certified tail falls below tol/2.
+
+    Returns (k_stop, tail, found); rows with found False have no such k
+    within cap. A larger cap cannot move a row's first certified k.
+    """
     ks = np.arange(cap + 1, dtype=float)
     with np.errstate(divide="ignore"):
-        log_m = (math.log(16.0 / t) + weight.log_at(ks)
+        log_hz = np.log(hz[:, : cap + 1])
+        log16 = np.array([math.log(16.0 / t) for t in ts])
+        log_m = (log16[:, None] + weight.log_at(ks)
                  + np.log((ks + 1.0) * (ks + 4.0)))
-    log_m[1:] += log_hz[: cap]  # hz at k-1
+    log_m[:, 1:] += log_hz[:, : cap]  # hz at k-1
     k_idx = np.arange(1, cap + 1)
-    prev = hz[: cap]
+    prev = hz[:, : cap]
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_obs = np.where(prev > 0.0, hz[1: cap + 1] / np.where(prev > 0, prev, 1.0), 0.0)
+        r_obs = np.where(prev > 0.0, hz[:, 1: cap + 1] / np.where(prev > 0, prev, 1.0), 0.0)
     rho = (weight.ratio_bound(k_idx)
            * ((k_idx + 2.0) * (k_idx + 5.0)) / ((k_idx + 1.0) * (k_idx + 4.0))
-           * np.minimum(r_obs, t / (2.0 * k_idx)))
+           * np.minimum(r_obs, ts[:, None] / (2.0 * k_idx)))
     with np.errstate(over="ignore"):
-        tails = np.where(rho < 0.95, np.exp(log_m[1:]) * rho / (1.0 - rho), np.inf)
+        tails = np.where(rho < 0.95, np.exp(log_m[:, 1:]) * rho / (1.0 - rho), np.inf)
     good = (tails < 0.5 * tol) & (k_idx >= 8)
-    if not np.any(good):
-        return None
-    i = int(np.argmax(good))
-    return int(k_idx[i]), float(tails[i])
+    i = np.argmax(good, axis=1)
+    rows = np.arange(len(ts))
+    return k_idx[i], tails[rows, i], good[rows, i]
 
 
-def scan(params: TreeParams, t: float, weight=None, tol: float = DEFAULT_TOL,
-         signed: bool = False) -> ScanResult:
-    """One pass over sphere strata for all four kernel kinds at time t.
+def _finish_scans(params: TreeParams, ts: np.ndarray, weight, tol: float,
+                  signed: bool, hz: np.ndarray, k_stop: np.ndarray,
+                  tail: np.ndarray) -> list[ScanResult]:
+    """Stratum sums for rows whose stop index is known, all rows at once.
 
-    ``signed=True`` drops the absolute values (used for the mass
-    cancellation identities); the tail bound is unchanged since it
-    majorizes term magnitudes.
+    Arrays run over k = 0..max(k_stop); entries past a row's own k_stop
+    are zero, so every sum and bucket equals that of the row alone.
     """
-    check_time(t)
-    if weight is None:
-        weight = ExpWeight(0.0)
     q = params.q
-    cap = int(32 + 10.0 * math.sqrt(t + 1.0) + 40)
-    while True:
-        hz = heat_z_row(t, cap + 2)
-        with np.errstate(divide="ignore"):
-            log_hz = np.log(hz)
-        found = _stop_index(t, weight, log_hz, hz, cap, tol)
-        if found is not None:
-            k_stop, tail = found
-            break
-        cap = 2 * cap + 32
-        if cap > 4_000_000:  # pragma: no cover
-            raise RuntimeError("stratum scan failed to certify a tail")
-
-    jhat = jhat_row(t, k_stop + 2, params, tol * 1e-3)
+    kx = int(k_stop.max())
+    ks = np.arange(kx + 1, dtype=float)
+    inside = ks <= k_stop[:, None]
+    jhat, eps_top = jhat_from_z_rows(ts, hz, k_stop + 2, params, tol * 1e-3)
     mag = (lambda a: a) if signed else np.abs
-    st = {key: mag(a[: k_stop + 1]) for key, a in scaled_stencils(jhat, params).items()}
-    ks = np.arange(k_stop + 1, dtype=float)
+    st = {key: mag(a[:, : kx + 1]) for key, a in scaled_stencils(jhat, params).items()}
     w = np.exp(weight.log_at(ks))
     cmid = (q - 1.0) / q
     nmid = np.maximum(ks - 1.0, 0.0)  # number of middle strata at radius k
@@ -177,51 +173,99 @@ def scan(params: TreeParams, t: float, weight=None, tol: float = DEFAULT_TOL,
         # the four kinds for x on a stratum of relation rel to the base y
         return dict(zip(KINDS, (st["h"], *(st[key] for key in STENCILS[rel]))))
 
-    # per-stratum-class contributions; index 0 is overwritten by the
+    # per-stratum-class contributions; column 0 is overwritten by the
     # single equal-pair stratum below
     up, down = stencils(Rel.ANCESTOR), stencils(Rel.DESCENDANT)
     mid = {kind: cmid * a for kind, a in stencils(Rel.INCOMPARABLE).items()}
-    eq = {kind: a[0] for kind, a in stencils(Rel.EQUAL).items()}
+    eq = {kind: a[:, 0] for kind, a in stencils(Rel.EQUAL).items()}
 
-    from_k = np.minimum(np.abs(np.arange(-k_stop, k_stop + 1)) + 2, k_stop + 1)
+    from_k = np.minimum(np.abs(np.arange(-kx, kx + 1)) + 2, kx + 1)
 
-    totals: dict[str, float] = {}
     offsets: dict[str, np.ndarray] = {}
     per_k: dict[str, np.ndarray] = {}
-    grad_split: dict[str, tuple[float, float]] = {}
+    rising: dict[str, np.ndarray] = {}
     for kind in KINDS:
-        tu, td, tm = w * up[kind], w * down[kind], w * mid[kind]
-        tu[0] = td[0] = tm[0] = 0.0
+        tu, td, tm = (np.where(inside, w * a[kind], 0.0) for a in (up, down, mid))
+        tu[:, 0] = td[:, 0] = tm[:, 0] = 0.0
         terms = tu + td + nmid * tm
-        terms[0] = eq[kind]
-        totals[kind] = float(np.sum(terms))
+        terms[:, 0] = eq[kind]
         per_k[kind] = terms
-        buckets = np.zeros(2 * k_stop + 1)
-        buckets[k_stop] = eq[kind]
-        buckets[k_stop + 1:] += tu[1:]
-        buckets[: k_stop][::-1] += td[1:]
+        buckets = np.zeros((len(ts), 2 * kx + 1))
+        buckets[:, kx] = eq[kind]
+        buckets[:, kx + 1:] += tu[:, 1:]
+        buckets[:, : kx][:, ::-1] += td[:, 1:]
         # offset o collects the middle strata of every radius k >= |o| + 2
-        # of o's parity: suffix sums per parity class (index k_stop + 1 is 0)
-        suffix = np.zeros(k_stop + 2)
+        # of o's parity: suffix sums per parity class (index kx + 1 is 0)
+        suffix = np.zeros((len(ts), kx + 2))
         for p in (0, 1):
-            suffix[p: k_stop + 1: 2] = np.cumsum(tm[p::2][::-1])[::-1]
-        buckets += suffix[from_k]
+            suffix[:, p: kx + 1: 2] = np.cumsum(tm[:, p::2][:, ::-1], axis=1)[:, ::-1]
+        buckets += suffix[:, from_k]
         offsets[kind] = buckets
         if kind in ("gradX", "gradY"):
             # comparable part: the rising strata for gradX, mirrored for
             # gradY; equal pairs belong to the comparable part
-            comparable = float(eq[kind] + np.sum(tu[1:]))
-            grad_split[kind] = (comparable, totals[kind] - comparable)
+            rising[kind] = tu
 
     # slack from the finite stencil row: the top-of-row truncation decays
     # by q^(-1/2) per index walking down
-    eps_top = jhat_row_tail(t, k_stop + 2, params, tol * 1e-3)
-    damp = np.exp(-0.5 * (k_stop + 2 - (ks + 2)) * params.log_q)
-    row_slack = float(4.0 * np.sum(w * (ks + 1.0) * eps_top * damp))
+    damp = np.exp(-0.5 * np.maximum(k_stop[:, None] - ks, 0.0) * params.log_q)
+    slack = w * (ks + 1.0) * eps_top[:, None] * damp
 
-    return ScanResult(t=t, k_stop=k_stop, totals=totals, offsets=offsets,
-                      per_k=per_k, grad_split=grad_split, tail=tail,
-                      row_slack=row_slack)
+    # sums run over each row's own k = 0..k_stop, so they match a scan of
+    # that time alone bitwise
+    out = []
+    for i, k in enumerate(k_stop.tolist()):
+        totals = {kind: float(np.sum(v[i, : k + 1])) for kind, v in per_k.items()}
+        comparable = {kind: float(eq[kind][i] + np.sum(tu[i, 1: k + 1]))
+                      for kind, tu in rising.items()}
+        out.append(ScanResult(
+            t=float(ts[i]), k_stop=k, totals=totals,
+            offsets={kind: v[i, kx - k: kx + k + 1] for kind, v in offsets.items()},
+            per_k={kind: v[i, : k + 1] for kind, v in per_k.items()},
+            grad_split={kind: (c, totals[kind] - c) for kind, c in comparable.items()},
+            tail=float(tail[i]), row_slack=float(4.0 * np.sum(slack[i, : k + 1]))))
+    return out
+
+
+def scan_many(params: TreeParams, ts, weight=None, tol: float = DEFAULT_TOL,
+              signed: bool = False) -> list[ScanResult]:
+    """One pass over sphere strata for all four kernel kinds, per time in ts.
+
+    All times share numpy passes: one heat_z row block per round of the
+    stopping rule serves the rule, the jhat rows and their truncation
+    bound. ``signed=True`` drops the absolute values (used for the mass
+    cancellation identities); the tail bound is unchanged since it
+    majorizes term magnitudes.
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    check_time(ts)
+    if weight is None:
+        weight = ExpWeight(0.0)
+    results: list[ScanResult | None] = [None] * len(ts)
+    pending = np.arange(len(ts))
+    cap = int(32 + 10.0 * math.sqrt(float(ts.max(initial=0.0)) + 1.0) + 40)
+    while pending.size:
+        sub = ts[pending]
+        # wide enough for the jhat row of any k_stop <= cap
+        hz = heat_z_rows(sub, row_top(cap + 2, params, tol * 1e-3) + 2)
+        k_stop, tail, found = _stop_indices(sub, weight, hz, cap, tol)
+        if found.any():
+            done = _finish_scans(params, sub[found], weight, tol, signed, hz[found],
+                                 k_stop[found], tail[found])
+            for i, res in zip(pending[found], done):
+                results[i] = res
+        pending = pending[~found]
+        cap = 2 * cap + 32
+        if pending.size and cap > 4_000_000:  # pragma: no cover
+            raise RuntimeError("stratum scan failed to certify a tail")
+    return results
+
+
+def scan(params: TreeParams, t: float, weight=None, tol: float = DEFAULT_TOL,
+         signed: bool = False) -> ScanResult:
+    """One pass over sphere strata at time t: the one-time view of
+    :func:`scan_many`."""
+    return scan_many(params, [t], weight, tol, signed)[0]
 
 
 def weighted_sum(spec: SumSpec, params: TreeParams, tol: float = DEFAULT_TOL) -> float:

@@ -14,7 +14,10 @@ from flowtree.heat import (
     j_row,
     j_value,
     jhat_row,
+    jhat_row_tail,
+    jhat_rows,
     kernel,
+    row_top,
 )
 from flowtree.tree import Rel, TreeParams, Vertex, distance, enumerate_ball, level
 from flowtree.zline import heat_z, heat_z_row
@@ -298,3 +301,31 @@ def test_kernel_positive():
     for t in (0.2, 1.0, 30.0):
         row = j_row(t, 40, P2, 1e-13)
         assert np.all(row > 0.0)
+
+
+def _sequential_jhat(t, dmax, params, tol):
+    # the back-recursion s[m] = v[m] + s[m+2]/q one index at a time
+    top = row_top(dmax, params, tol)
+    hz = heat_z_row(t, top + 2)
+    v = (np.arange(top + 1) + 1.0) * hz[1: top + 2]
+    s = v.copy()
+    for m in range(top - 2, -1, -1):
+        s[m] = v[m] + s[m + 2] / params.q
+    return (2.0 / t) * s[: dmax + 1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_jhat_rows_match_sequential_back_recursion(q):
+    params = TreeParams(q)
+    for ts, dmax in (([2.0**-3, 0.7, 1.0, 3.3, 40.0], 60),
+                     ([2.0**10, 2.0**13], 600),
+                     ([2.0**20], 8000)):
+        rows = jhat_rows(ts, dmax, params, 1e-13)
+        assert rows.shape == (len(ts), dmax + 1)
+        for t, row in zip(ts, rows):
+            ref = _sequential_jhat(t, dmax, params, 1e-13)
+            assert np.all(ref > 1e-290)  # normal range: relative error is meaningful
+            assert np.max(np.abs(row - ref) / ref) <= 1e-15, (q, t)
+            assert np.array_equal(jhat_row(t, dmax, params, 1e-13), row)
+        tail = jhat_row_tail(ts[-1], dmax, params, 1e-13)
+        assert 0.0 <= tail < 1e-13

@@ -208,3 +208,13 @@ def test_dense_guard():
     with pytest.raises(MemoryError):
         model = oracle.build_ball_model(P2, 8, Vertex(0, (0,) * 8))
         oracle.assemble_operators(model, max_dense=100)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("radius", [4, 5])
+def test_spectrum_equals_eigvalsh_of_assembled_flow(q, radius):
+    model = oracle.build_ball_model(TreeParams(q), radius)
+    ops = oracle.assemble_operators(model)
+    expected = np.linalg.eigvalsh(ops.flow)
+    assert np.array_equal(oracle.spectrum(model), expected)
+    assert np.array_equal(oracle.spectrum(model, ops), expected)

@@ -169,3 +169,47 @@ def test_l2_gradient_identity_on_ball():
         assert quad == pytest.approx(0.5 * grad_norm, rel=1e-12)
         half_power = ops.flow @ f  # sanity: generator symmetric on the support
         assert f @ half_power == pytest.approx(quad)
+
+
+def _recording(f):
+    calls = []
+
+    def g(ts):
+        calls.append(np.array(ts))
+        return f(ts)
+    return g, calls
+
+
+def _composite_gauss(f, a, b, panels):
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(a, b, panels + 1)
+    return sum(0.5 * (hi - lo) * (w @ f(0.5 * (lo + hi) + 0.5 * (hi - lo) * x))
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def test_integrate_rows_calls_once_per_panel_and_is_exact_to_degree_31():
+    powers = np.array([0, 1, 17, 31])
+    f, calls = _recording(lambda ts: np.power.outer(ts, powers))
+    a, b = 0.0, 1.0
+    value, err = riesz._integrate_rows(f, a, b, 1e-12)
+    exact = (b ** (powers + 1) - a ** (powers + 1)) / (powers + 1)
+    assert np.max(np.abs(value - exact) / exact) <= 1e-14
+    assert err <= 1e-12
+    # one panel, then two: the first comparison already passes
+    panels = [(a, b), (a, 0.5), (0.5, b)]
+    assert len(calls) == len(panels)
+    for nodes, (lo, hi) in zip(calls, panels):
+        assert nodes.shape == (16,)
+        assert np.all((nodes > lo) & (nodes < hi))
+
+
+def test_integrate_rows_error_is_last_refinement_difference():
+    # a kink defeats Gauss convergence, so max_panels = 4 stops the doubling
+    kink = lambda ts: np.abs(ts - 0.3)[:, None] * np.array([1.0, -2.0])
+    f, calls = _recording(kink)
+    value, err = riesz._integrate_rows(f, 0.0, 1.0, 1e-15, max_panels=4)
+    assert len(calls) == 1 + 2 + 4
+    four, two = _composite_gauss(kink, 0.0, 1.0, 4), _composite_gauss(kink, 0.0, 1.0, 2)
+    assert np.allclose(value, four, rtol=1e-15, atol=0.0)
+    assert err == pytest.approx(float(np.max(np.abs(four - two))), rel=1e-12)
+    assert err > 1e-15

@@ -206,3 +206,37 @@ def test_sweep_report_rows_and_parallel_determinism():
     assert seq.rows() == par.rows()
     assert len(seq.rows()) == 4 * len(sums.KINDS) * 2  # restricted doubles the cells
     assert all(len(r) == len(sums.SweepReport.COLUMNS) for r in seq.rows())
+
+
+def _rel_close(a, b, rel):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.all(np.abs(a - b) <= rel * np.abs(b)), (a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("weight", [ExpWeight(0.0), ExpWeight(0.7), PolyWeight(0.3, 2.0)])
+@pytest.mark.parametrize("signed", [False, True])
+def test_scan_many_matches_scan(q, weight, signed):
+    # batches of panel-like nodes, plus one mixing t = 1.3 and t = 300: at
+    # rate 0.7 the t = 300 row needs a larger cap than the shared first one
+    params = TreeParams(q)
+    batches = [[1.3, 300.0], list(1.0 + np.polynomial.legendre.leggauss(16)[0] / 2.0),
+               [0.05, 7.0, 64.0]]
+    for ts in batches:
+        many = sums.scan_many(params, ts, weight, 1e-10, signed)
+        assert len(many) == len(ts)
+        for t, res in zip(ts, many):
+            one = sums.scan(params, t, weight, 1e-10, signed)
+            assert res.k_stop == one.k_stop and res.tail == one.tail
+            _rel_close(res.row_slack, one.row_slack, 1e-14)
+            for kind in sums.KINDS:
+                _rel_close(res.totals[kind], one.totals[kind], 1e-14)
+                _rel_close(res.offsets[kind], one.offsets[kind], 1e-14)
+                _rel_close(res.per_k[kind], one.per_k[kind], 1e-14)
+            for kind, parts in one.grad_split.items():
+                _rel_close(res.grad_split[kind], parts, 1e-14)
+    if weight == ExpWeight(0.7):
+        # the mixed batch does take two rounds of the stopping rule
+        cap = int(32 + 10.0 * math.sqrt(300.0 + 1.0) + 40)
+        assert sums.scan(params, 300.0, weight, 1e-10).k_stop > cap

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from flowtree import oracle
 from flowtree.zline import (
     comparability_ratio,
     heat_z,
     heat_z_row,
+    heat_z_rows,
     phi,
     recurrence_residual,
     weighted_l1,
@@ -195,3 +197,20 @@ def test_small_time_power_law():
             limit = 2.0**-n / math.factorial(n)
             ratio = heat_z(t, n) / t**n
             assert ratio == pytest.approx(limit, rel=2.0 * t + 1e-9)
+
+
+def test_heat_z_rows_equal_one_time_rows_bitwise():
+    # the ive route, the asymptotic route above 2^29, and a batch mixing both
+    for ts, nmax in (([0.3, 1.0, 7.5, 300.0, 2.0**20], 200),
+                     ([2.0**30, 2.0**31, 3.0e9], 50),
+                     ([1.0, 2.0**30, 40.0], 50)):
+        rows = heat_z_rows(ts, nmax)
+        assert rows.shape == (len(ts), nmax + 1)
+        for t, row in zip(ts, rows):
+            assert np.array_equal(row, heat_z_row(t, nmax)), t
+            if t <= 2.0**29:
+                assert np.array_equal(row, scipy.special.ive(np.arange(nmax + 1), t)), t
+            else:
+                assert np.array_equal(row, _asymptotic_scaled_bessel_row(nmax, t)), t
+    with pytest.raises(ValueError, match="time must be positive"):
+        heat_z_rows([1.0, math.nan], 4)
