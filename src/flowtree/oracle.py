@@ -166,13 +166,8 @@ def orthonormal_heat_matrix(model: BallModel, t: float,
 
 def _radial_jump_matrix(q: int, radius: int) -> np.ndarray:
     """Radial block of the ball adjacency acting on profiles f(distance)."""
-    T = np.zeros((radius + 1, radius + 1))
-    if radius >= 1:
-        T[0, 1] = q + 1.0
-        T[1, 0] = 1.0
-    for k in range(1, radius):
-        T[k, k + 1] = float(q)
-        T[k + 1, k] = 1.0
+    T = np.diag(np.full(radius, float(q)), 1) + np.eye(radius + 1, k=-1)
+    T[0, 1:2] = q + 1.0  # the center has q + 1 neighbours
     return T
 
 
@@ -269,10 +264,7 @@ def z_heat_column(t: float, half_width: int) -> np.ndarray:
     full relative precision, unlike a generic matrix exponential.
     """
     n = 2 * half_width + 1
-    W = np.zeros((n, n))
-    for i in range(n - 1):
-        W[i, i + 1] = 1.0
-        W[i + 1, i] = 1.0
+    W = np.eye(n, k=1) + np.eye(n, k=-1)
     col = _uniformization(W, 2.0, t, np.eye(n)[half_width],
                           min_terms=half_width + 60)
     return col[half_width:]

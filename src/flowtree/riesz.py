@@ -2,27 +2,24 @@
 
 The kernel is pi^(-1/2) times the integral over t in (0, inf) of
 t^(-1/2) grad_x H_t, split into a small-time piece over (0, 1) and dyadic
-blocks [2^n, 2^(n+1)]. Each block is integrated by composite Gauss rules
-on doubling subdivisions until two successive refinements agree below the
-requested tolerance; the (0, 1) piece is integrated in u = sqrt(t), which
-removes the endpoint singularity. Each integrand takes the 16 nodes of
-one panel as an array, so a panel costs one call into the batched cores
-:func:`sums.scan_many` and :func:`heat.jhat_rows`. Far blocks are cut
-once an a priori bound (power decay of the integrand drawn from the
-pointwise kernel bounds) falls below tolerance, and that bound is
-carried as part of the reported error.
-
-Because kernels depend only on distance, level sum and order relation,
-whole kernel columns reduce to a pair of rows per block: one for moving
-vertices at or above the base point, one for the rest. All column sums,
-Lipschitz tests and the weak-type probe run off those rows.
+blocks [2^n, 2^(n+1)]. Everything reads one integrated row per piece,
+the integral of t^(-1/2) jhat(t, d) (the scaled row of :mod:`heat`), in
+u = sqrt(t) by composite 16-point Gauss rules on doubling panels, one
+:func:`heat.jhat_rows` call per panel. :func:`heat.scaled_stencils` is
+linear, so the stencils of that row are the integrated stencils. Its
+``g_up`` and ``g_side`` stencils times q^(-d/2) are the Riesz rows, one
+for moving vertices at or above the base point and one for the rest.
+Its absolute stencils summed over sphere strata (:func:`sums.stratum_terms`)
+are the column sums, the time integral taken before the absolute value
+as in the Calderon-Zygmund hypotheses, with an a priori bound for the
+radii past the row added. Far blocks of :func:`kernel_rows` are cut once
+an a priori bound falls below tolerance; that bound is in the error.
 
 Rows are *reduced*: they hold the kernel without its level factor
-q^(-s/2), s the level sum of the pair. :class:`KernelRows`,
-:func:`kernel_rows` and ``_block_rows_cached`` return reduced rows;
-:func:`riesz_kernel`, :func:`riesz_kernel_with_error` and
-:func:`block_kernel_value` return full kernel entries, the factor
-q^(-s/2) already applied.
+q^(-s/2), s the level sum of the pair. :class:`KernelRows` and
+:func:`kernel_rows` return reduced rows; :func:`riesz_kernel`,
+:func:`riesz_kernel_with_error` and :func:`block_kernel_value` return
+full kernel entries, the factor q^(-s/2) already applied.
 """
 
 from __future__ import annotations
@@ -32,32 +29,37 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import sums
 from .heat import STENCILS, check_pair, jhat_rows, scaled_stencils
 from .tree import Rel, TreeParams, Vertex, distance, level, pair_strata
-from .zline import heat_z_row
+from .zline import heat_z_row, phi
 
 DEFAULT_TOL = 1e-9
 
-#: dyadic scale constant and exponents under which the kernel hypotheses
-#: are verified: blocks [2^n, 2^(n+1)] pair with the scale c^n = 2^(-n/2)
+#: dyadic scale constant and polynomial weight exponent under which the
+#: kernel hypotheses are verified: blocks [2^n, 2^(n+1)] pair with the
+#: scale c^n = 2^(-n/2)
 CZ_SCALE = 2.0**-0.5
 CZ_WEIGHT_EXPONENT = 2.0
-CZ_LIPSCHITZ_EXPONENT = 1.0
+
+#: piece index of t in (0, 1); pieces n >= 0 are the blocks
+SMALL_TIME = -1
+
+#: panels at which a quadrature that has not met its tolerance raises
+MAX_PANELS = 256
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 
-def _integrate_rows(f, a: float, b: float, tol: float,
-                    max_panels: int = 256) -> tuple[np.ndarray, float]:
+def _integrate_rows(f, a: float, b: float, tol: float) -> tuple[np.ndarray, float]:
     """Composite 16-point Gauss with panel doubling.
 
     f maps the 16 nodes of one panel, as an array, to one row per node;
     it is called once per panel. Returns (value, error estimate), the
-    estimate being the difference of the last two refinements, capped at
-    the requested tolerance by the doubling loop whenever the budget
-    allows.
+    estimate being the difference of the last two refinements; raises
+    RuntimeError if it still exceeds tol at :data:`MAX_PANELS` panels.
     """
     prev = None
     panels = 1
@@ -71,23 +73,40 @@ def _integrate_rows(f, a: float, b: float, tol: float,
             total = part if total is None else total + part
         if prev is not None:
             err = float(np.max(np.abs(total - prev)))
-            if err <= tol or panels >= max_panels:
+            if err <= tol:
                 return total, err
+            if panels >= MAX_PANELS:
+                raise RuntimeError(f"quadrature over [{a}, {b}] still moves by "
+                                   f"{err:.3g} > {tol:.3g} at {panels} panels")
         prev = total
         panels *= 2
 
 
-def _gradient_rows(ts: np.ndarray, dmax: int, params: TreeParams, tol: float) -> np.ndarray:
-    """Reduced first-gradient stencils, stacked [up rows; side rows], one
-    stack per time in ``ts``.
+@lru_cache(maxsize=512)
+def _integrated_row(q: int, n: int, width: int, tol: float) -> tuple[np.ndarray, float]:
+    """pi^(-1/2) times the integral over piece n of t^(-1/2) jhat(t, d),
+    d = 0..width+1 (read-only), as 2 jhat(u^2, d) over u = sqrt(t), and
+    its quadrature error."""
+    params = TreeParams(q)
+    lo, hi = (0.0, 1.0) if n == SMALL_TIME else (2.0**(0.5 * n), 2.0**(0.5 * n + 0.5))
+    row, err = _integrate_rows(lambda u: 2.0 * jhat_rows(u * u, width + 1, params, tol * 1e-2),
+                               lo, hi, tol)
+    row = row / math.sqrt(math.pi)
+    row.setflags(write=False)
+    return row, err / math.sqrt(math.pi)
 
-    The scaled ``g_up`` and ``g_side`` stencils of the jhat rows times
-    q^(-d/2). up[d] applies when the base point is at or below the moving
-    vertex, side[d] (d >= 1) otherwise; side[0] is zero and never read.
+
+def _riesz_rows(q: int, n: int, dmax: int, tol: float) -> tuple[np.ndarray, float]:
+    """Reduced rows [up; side] of piece n and their quadrature error.
+
+    up[d] applies when the base point is at or below the moving vertex,
+    side[d] (d >= 1) otherwise; side[0] is zero and never read. A
+    first-gradient stencil at most doubles the error of the row.
     """
-    st = scaled_stencils(jhat_rows(ts, dmax + 1, params, tol), params)
-    scale = np.exp(-0.5 * np.arange(dmax + 1) * params.log_q)
-    return np.concatenate([st["g_up"] * scale, st["g_side"] * scale], axis=-1)
+    row, err = _integrated_row(q, n, dmax, tol)
+    st = scaled_stencils(row, TreeParams(q))
+    scale = np.exp(-0.5 * np.arange(dmax + 1) * math.log(q))
+    return np.concatenate([st["g_up"] * scale, st["g_side"] * scale]), 2.0 * err
 
 
 def _block_bound(n: int, dmax: int, params: TreeParams) -> np.ndarray:
@@ -103,6 +122,42 @@ def _block_bound(n: int, dmax: int, params: TreeParams) -> np.ndarray:
     const = 8.0 * (d + 4.0) * np.exp(-0.5 * d * params.log_q) * (1.0 + params.q**-0.5)
     block_int = 2.0 * (t0**-0.5) * (1.0 - 2.0**-0.5)  # integral of t^(-3/2)
     return const * hz0 * block_int / math.sqrt(math.pi)
+
+
+def _radius(n: int, weight, tol: float, min_radius: int) -> tuple[int, float]:
+    """Smallest radius R >= max(min_radius, 1) past which piece n holds
+    weighted column mass at most tol by an a priori bound, and that bound.
+
+    The radius-k term of every kind at time t is at most the scan's term
+    bound (16/t)(k+1)(k+4) w(k) hz(t, k-1). On a block, hz(t, m) <=
+    exp(m phi(t/m)) (Chernoff, increasing in t, taken at the block end T,
+    log-concave in m with slope -asinh(m/T)); on (0, 1), hz(t, m) <=
+    (t/2)^m / m!. Either way the term ratios have a bound decreasing in
+    k, so the terms from k on sum to at most a geometric series.
+    """
+    lo = max(min_radius, 1) + 1
+    cap = lo + 64 + int(10.0 * math.sqrt(2.0**(n + 1)))
+    while True:
+        ks = np.arange(lo, cap + 1, dtype=float)
+        m = ks - 1.0
+        if n == SMALL_TIME:  # t^(-3/2) (t/2)^m integrates to 2^(-m) / (m - 1/2)
+            log_h = -m * math.log(2.0) - gammaln(m + 1.0) - np.log(m - 0.5)
+            rho = 0.5 / ks
+        else:  # t^(-3/2) integrates over the block to 2^(1-n/2) (1 - 2^(-1/2))
+            big_t = 2.0**(n + 1)
+            log_h = math.log(2.0**(1.0 - 0.5 * n) * (1.0 - 2.0**-0.5)) + m * phi(big_t / m)
+            rho = np.exp(-np.arcsinh(m / big_t))
+        poly = (ks + 1.0) * (ks + 4.0)
+        log_b = log_h + np.log(16.0 / math.sqrt(math.pi) * poly) + weight.log_at(ks)
+        rho = rho * weight.ratio_bound(ks) * (ks + 2.0) * (ks + 5.0) / poly
+        with np.errstate(over="ignore"):
+            beyond = np.where(rho < 1.0, np.exp(log_b) / (1.0 - rho), np.inf)
+        if np.any(beyond <= tol):
+            i = int(np.argmax(beyond <= tol))
+            return int(ks[i]) - 1, float(beyond[i])
+        cap *= 2
+        if cap > 4_000_000:  # pragma: no cover
+            raise RuntimeError(f"no radius bounds the mass of piece {n} below {tol}")
 
 
 @dataclass(frozen=True)
@@ -132,42 +187,24 @@ class KernelRows:
     quad_error: float
 
     def total(self) -> np.ndarray:
-        out = self.r0.copy()
-        for b in self.blocks:
-            out += b
-        return out
+        return sum(self.blocks, self.r0.copy())
 
 
 @lru_cache(maxsize=64)
 def _kernel_rows_cached(q: int, dmax: int, tol: float) -> KernelRows:
     params = TreeParams(q)
     inner = tol * 1e-2
-    quad_err = 0.0
-
-    def small_time(u: np.ndarray) -> np.ndarray:
-        return 2.0 * _gradient_rows(u * u, dmax, params, inner)
-
-    r0, err = _integrate_rows(small_time, 0.0, 1.0, inner)
-    r0 = r0 / math.sqrt(math.pi)
-    quad_err += err
-
+    r0, quad_err = _riesz_rows(q, SMALL_TIME, dmax, inner)
     blocks: list[np.ndarray] = []
-    n = 0
-    while True:
-        bound = _block_bound(n, dmax, params)
-        if float(np.max(bound)) < tol:
-            tail = 2.0 * bound  # geometric in the block index, ratio 1/2
-            break
-        blk, err = _integrate_rows(
-            lambda t: t[:, None]**-0.5 * _gradient_rows(t, dmax, params, inner),
-            2.0**n, 2.0**(n + 1), inner)
-        blocks.append(blk / math.sqrt(math.pi))
-        quad_err += err
-        n += 1
-        if n > 64:  # pragma: no cover
+    while float(np.max(_block_bound(len(blocks), dmax, params))) >= tol:
+        if len(blocks) > 64:  # pragma: no cover
             raise RuntimeError("dyadic decomposition failed to converge")
-    return KernelRows(dmax=dmax, r0=r0, blocks=blocks, tail_bound=tail,
-                      quad_error=quad_err)
+        rows, err = _riesz_rows(q, len(blocks), dmax, inner)
+        blocks.append(rows)
+        quad_err += err
+    # the block bounds fall geometrically in the block index, ratio 1/2
+    return KernelRows(dmax=dmax, r0=r0, blocks=blocks, quad_error=quad_err,
+                      tail_bound=2.0 * _block_bound(len(blocks), dmax, params))
 
 
 def kernel_rows(params: TreeParams, dmax: int, tol: float = DEFAULT_TOL) -> KernelRows:
@@ -188,8 +225,7 @@ def _row_pick(rows: np.ndarray, dmax: int, d: int, rel: Rel) -> float:
 def riesz_kernel(query: RieszQuery, params: TreeParams,
                  tol: float = DEFAULT_TOL) -> float:
     """Riesz kernel entry; certified error at most the reported rows' tail."""
-    value, _ = riesz_kernel_with_error(query, params, tol)
-    return value
+    return riesz_kernel_with_error(query, params, tol)[0]
 
 
 def riesz_kernel_with_error(query: RieszQuery, params: TreeParams,
@@ -203,80 +239,73 @@ def riesz_kernel_with_error(query: RieszQuery, params: TreeParams,
     return pref * reduced, pref * err
 
 
-def small_time_column_sums(params: TreeParams, tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """L1 column and row sums of the small-time kernel piece.
+@dataclass(frozen=True)
+class ColumnSum:
+    """A column sum: ``value`` sums strata out to ``radius`` and adds the
+    a priori mass beyond (``truncation``) and the quadrature slack; a
+    signed value adds neither. ``quad_error`` is that of the row."""
 
-    Both are integrals over (0, 1) of t^(-1/2) times a gradient column
-    sum; the transposed sum equals the second-slot gradient sum by kernel
-    symmetry. Finiteness comes from the integrable singularity times the
-    mass bound.
+    value: float
+    radius: int
+    truncation: float
+    quad_error: float
+
+
+def block_column_sum(n: int, kind: str, weight, params: TreeParams,
+                     tol: float = DEFAULT_TOL, signed: bool = False,
+                     min_radius: int = 0) -> ColumnSum:
+    """sum_x |K(x, y)| w(d(x, y)) mu(x) over the tree for piece n of the
+    Riesz kernel (``gradX``), its transpose (``gradY``) or its second-slot
+    gradient (``gradXY``), from the integrated row out to the smallest
+    radius >= min_radius past which the a priori mass is below tol/100.
     """
-    inner = tol * 1e-2
+    radius, trunc = _radius(n, weight, tol * 1e-2, min_radius)
+    row, err = _integrated_row(params.q, n, radius, tol)
+    st = {key: a if signed else np.abs(a) for key, a in scaled_stencils(row, params).items()}
+    total = float(np.sum(dict(sums.stratum_terms(st, weight, params, f"piece {n}"))[kind][0]))
+    if signed:
+        return ColumnSum(total, radius, trunc, err)
+    # a stencil at most quadruples the row error; radius k holds strata
+    # of total scaled weight at most k + 1
+    ks = np.arange(radius + 1, dtype=float)
+    slack = 4.0 * err * float(np.sum(np.exp(weight.log_at(ks)) * (ks + 1.0)))
+    return ColumnSum(total + trunc + slack, radius, trunc, err)
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        scans = sums.scan_many(params, u * u, sums.ExpWeight(0.0), inner)
-        return 2.0 * np.array([[r.totals["gradX"], r.totals["gradY"]] for r in scans])
 
-    vals, _ = _integrate_rows(integrand, 0.0, 1.0, tol)
-    return float(vals[0] / math.sqrt(math.pi)), float(vals[1] / math.sqrt(math.pi))
+def small_time_column_sums(params: TreeParams, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """L1 column and row sums of the small-time kernel piece; the row sum
+    is the transposed (``gradY``) column sum by kernel symmetry."""
+    return tuple(block_column_sum(SMALL_TIME, kind, sums.ExpWeight(0.0), params, tol).value
+                 for kind in ("gradX", "gradY"))
 
 
 def small_time_signed_column_sum(params: TreeParams, tol: float = DEFAULT_TOL) -> float:
     """Signed column sum of the small-time piece; zero by mass conservation."""
-    inner = tol * 1e-2
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        scans = sums.scan_many(params, u * u, sums.ExpWeight(0.0), inner, signed=True)
-        return np.array([[2.0 * r.totals["gradX"]] for r in scans])
-
-    vals, _ = _integrate_rows(integrand, 0.0, 1.0, tol)
-    return float(vals[0] / math.sqrt(math.pi))
-
-
-@lru_cache(maxsize=512)
-def _block_scan_sum(q: int, n: int, kind: str, weight, tol: float) -> float:
-    if n < 0:
-        raise ValueError("block index must be >= 0")
-    params = TreeParams(q)
-    inner = tol * 1e-2
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        scans = sums.scan_many(params, t, weight, inner)
-        return t[:, None]**-0.5 * np.array([[r.totals[kind]] for r in scans])
-
-    vals, _ = _integrate_rows(integrand, 2.0**n, 2.0**(n + 1), tol)
-    return float(vals[0] / math.sqrt(math.pi))
+    return block_column_sum(SMALL_TIME, "gradX", sums.ExpWeight(0.0), params, tol,
+                            signed=True).value
 
 
 def kn_weighted_sum(n: int, eps: float, params: TreeParams,
                     tol: float = DEFAULT_TOL, weight=None) -> float:
-    """Upper bound for the weighted column sum of the block-n kernel.
+    """Upper bound for sum_x |K_n(x, y)| w(d(x, y)) mu(x), the time
+    integral inside the absolute value (:func:`block_column_sum`).
 
-    The absolute value is taken inside the time integral (a certified
-    upper bound wherever the integrand changes sign), then Fubini turns
-    the sum into a block integral of the weighted gradient sum. The
-    default weight is exp(eps d / 2^(n/2)); pass a :class:`sums.PolyWeight`
-    for the polynomial variant.
+    The default weight is exp(eps d / 2^(n/2)); pass a
+    :class:`sums.PolyWeight` for the polynomial variant.
     """
+    if n < 0:
+        raise ValueError("block index must be >= 0")
     if weight is None:
         weight = sums.ExpWeight(eps * CZ_SCALE**n)
-    return _block_scan_sum(params.q, n, "gradX", weight, tol)
+    return block_column_sum(n, "gradX", weight, params, tol).value
 
 
 def kn_grad_sum(n: int, eps: float, params: TreeParams,
                 tol: float = DEFAULT_TOL) -> float:
     """Weighted column sum of the second-slot gradient of the block kernel."""
-    return _block_scan_sum(params.q, n, "gradXY", sums.ExpWeight(eps * CZ_SCALE**n), tol)
-
-
-@lru_cache(maxsize=64)
-def _block_rows_cached(q: int, n: int, dmax: int, tol: float) -> np.ndarray:
-    """Reduced block-n rows, stacked [up; side]; multiply by q^(-s/2)."""
-    params = TreeParams(q)
-    rows, _ = _integrate_rows(
-        lambda t: t[:, None]**-0.5 * _gradient_rows(t, dmax, params, tol * 1e-2),
-        2.0**n, 2.0**(n + 1), tol)
-    return rows / math.sqrt(math.pi)
+    if n < 0:
+        raise ValueError("block index must be >= 0")
+    return block_column_sum(n, "gradXY", sums.ExpWeight(eps * CZ_SCALE**n), params, tol).value
 
 
 def block_kernel_value(n: int, query: RieszQuery, params: TreeParams,
@@ -286,24 +315,9 @@ def block_kernel_value(n: int, query: RieszQuery, params: TreeParams,
     A full entry: the reduced block row value times q^(-s/2).
     """
     dmax = max(32, query.d + 2) if dmax is None else dmax
-    rows = _block_rows_cached(params.q, n, dmax, tol)
+    rows = _riesz_rows(params.q, n, dmax, tol)[0]
     pref = math.exp(-0.5 * query.s * params.log_q)
     return pref * _row_pick(rows, dmax, query.d, query.rel)
-
-
-def kn_column_tail(n: int, k_min: int, params: TreeParams,
-                   tol: float = DEFAULT_TOL) -> float:
-    """Bound for the block-n weighted gradient column mass at distance >= k_min."""
-    inner = tol * 1e-2
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        scans = sums.scan_many(params, t, sums.ExpWeight(0.0), inner)
-        beyond = np.array([float(np.sum(r.per_k["gradX"][k_min:])) + r.tail + r.row_slack
-                           for r in scans])
-        return (t**-0.5 * beyond)[:, None]
-
-    vals, err = _integrate_rows(integrand, 2.0**n, 2.0**(n + 1), tol, max_panels=4)
-    return float(vals[0] / math.sqrt(math.pi)) + err
 
 
 def lipschitz_check(n: int, y: Vertex, z: Vertex, params: TreeParams,
@@ -311,13 +325,16 @@ def lipschitz_check(n: int, y: Vertex, z: Vertex, params: TreeParams,
     """Column difference sum of the block kernel against its telescoped bound.
 
     lhs is sum_x |K_n(x, y) - K_n(x, z)| mu(x) over the radius ball around
-    y, counted by :func:`tree.pair_strata`; :func:`kn_column_tail` bounds
-    the omitted mass. The bound is d(y, z) times the second-slot gradient
-    column sum of the block. Contract: lhs <= bound + tol.
+    y, counted by :func:`tree.pair_strata`. The bound is d(y, z) times the
+    whole-tree second-slot gradient column sum of the block; both read
+    the same integrated row. For d(y, z) = 1 the two agree but for the
+    mass outside the ball. Contract: lhs <= bound + tol.
     """
     dyz = distance(y, z)
-    dmax = radius + dyz + 2
-    rows = _block_rows_cached(params.q, n, dmax, tol)
+    grad = block_column_sum(n, "gradXY", sums.ExpWeight(0.0), params, tol,
+                            min_radius=radius + dyz + 2)
+    dmax = grad.radius
+    rows = _riesz_rows(params.q, n, dmax, tol)[0]
     ly, lz = level(y), level(z)
     lhs = 0.0
     for (dy, above_y, dz, above_z, lx), count in pair_strata(y, z, radius, params).items():
@@ -326,8 +343,7 @@ def lipschitz_check(n: int, y: Vertex, z: Vertex, params: TreeParams,
         vy = math.exp(-0.5 * (lx + ly) * params.log_q) * ky
         vz = math.exp(-0.5 * (lx + lz) * params.log_q) * kz
         lhs += count * abs(vy - vz) * math.exp(lx * params.log_q)
-    bound = kn_grad_sum(n, 0.0, params, tol) * dyz
-    return lhs, bound
+    return lhs, grad.value * dyz
 
 
 def weak_type_probe(lambdas, ball_radius: int, params: TreeParams,

@@ -142,7 +142,7 @@ def _stop_indices(ts: np.ndarray, weight, hz: np.ndarray, cap: int,
     rho = (weight.ratio_bound(k_idx)
            * ((k_idx + 2.0) * (k_idx + 5.0)) / ((k_idx + 1.0) * (k_idx + 4.0))
            * np.minimum(r_obs, ts[:, None] / (2.0 * k_idx)))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         tails = np.where(rho < 0.95, np.exp(log_m[:, 1:]) * rho / (1.0 - rho), np.inf)
     good = (tails < 0.5 * tol) & (k_idx >= 8)
     i = np.argmax(good, axis=1)
@@ -150,48 +150,56 @@ def _stop_indices(ts: np.ndarray, weight, hz: np.ndarray, cap: int,
     return k_idx[i], tails[rows, i], good[rows, i]
 
 
+def _check_finite(values, at: str, weight) -> None:
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"weighted stratum sum is not finite at {at} with {weight!r}")
+
+
+def stratum_terms(st: dict[str, np.ndarray], weight, params: TreeParams, at: str):
+    """Yield (kind, (terms, up, down, mid)) for the four kinds from scaled
+    stencil rows, radius k on the last axis: terms[k] is the weighted
+    radius-k total, the equal pair at k = 0; up, down and mid (one middle
+    stratum, factor (q-1)/q) are zero at k = 0. Raises OverflowError,
+    naming ``at`` and the weight, when a total is not finite."""
+    ks = np.arange(st["h"].shape[-1], dtype=float)
+    with np.errstate(over="ignore"):  # an infinite weight raises below
+        w = np.exp(weight.log_at(ks))
+    cmid = (params.q - 1.0) / params.q
+    nmid = np.maximum(ks - 1.0, 0.0)  # number of middle strata at radius k
+    for kind, (s_up, s_down, s_mid, s_eq) in zip(KINDS, zip(
+            *(("h", *STENCILS[rel]) for rel in (Rel.ANCESTOR, Rel.DESCENDANT,
+                                               Rel.INCOMPARABLE, Rel.EQUAL)))):
+        with np.errstate(invalid="ignore"):
+            tu, td, tm = w * st[s_up], w * st[s_down], w * (cmid * st[s_mid])
+        tu[..., 0] = td[..., 0] = tm[..., 0] = 0.0
+        terms = tu + td + nmid * tm
+        terms[..., 0] = st[s_eq][..., 0]
+        _check_finite(np.sum(terms, axis=-1), at, weight)
+        yield kind, (terms, tu, td, tm)
+
+
 def _finish_scans(params: TreeParams, ts: np.ndarray, weight, tol: float,
                   signed: bool, hz: np.ndarray, k_stop: np.ndarray,
                   tail: np.ndarray) -> list[ScanResult]:
     """Stratum sums for rows whose stop index is known, all rows at once.
 
-    Arrays run over k = 0..max(k_stop); entries past a row's own k_stop
-    are zero, so every sum and bucket equals that of the row alone.
+    Arrays run over k = 0..max(k_stop); stencils past a row's own k_stop
+    are zeroed, so every sum and bucket equals that of the row alone.
     """
-    q = params.q
     kx = int(k_stop.max())
     ks = np.arange(kx + 1, dtype=float)
     inside = ks <= k_stop[:, None]
     jhat, eps_top = jhat_from_z_rows(ts, hz, k_stop + 2, params, tol * 1e-3)
     mag = (lambda a: a) if signed else np.abs
-    st = {key: mag(a[:, : kx + 1]) for key, a in scaled_stencils(jhat, params).items()}
-    w = np.exp(weight.log_at(ks))
-    cmid = (q - 1.0) / q
-    nmid = np.maximum(ks - 1.0, 0.0)  # number of middle strata at radius k
-
-    def stencils(rel: Rel) -> dict[str, np.ndarray]:
-        # the four kinds for x on a stratum of relation rel to the base y
-        return dict(zip(KINDS, (st["h"], *(st[key] for key in STENCILS[rel]))))
-
-    # per-stratum-class contributions; column 0 is overwritten by the
-    # single equal-pair stratum below
-    up, down = stencils(Rel.ANCESTOR), stencils(Rel.DESCENDANT)
-    mid = {kind: cmid * a for kind, a in stencils(Rel.INCOMPARABLE).items()}
-    eq = {kind: a[:, 0] for kind, a in stencils(Rel.EQUAL).items()}
-
+    st = {key: np.where(inside[:, : a.shape[1]], mag(a[:, : kx + 1]), 0.0)
+          for key, a in scaled_stencils(jhat, params).items()}
+    at = f"t = {ts.tolist()}"
     from_k = np.minimum(np.abs(np.arange(-kx, kx + 1)) + 2, kx + 1)
-
-    offsets: dict[str, np.ndarray] = {}
-    per_k: dict[str, np.ndarray] = {}
-    rising: dict[str, np.ndarray] = {}
-    for kind in KINDS:
-        tu, td, tm = (np.where(inside, w * a[kind], 0.0) for a in (up, down, mid))
-        tu[:, 0] = td[:, 0] = tm[:, 0] = 0.0
-        terms = tu + td + nmid * tm
-        terms[:, 0] = eq[kind]
-        per_k[kind] = terms
+    per_k, rising, offsets = {}, {}, {}
+    for kind, (terms, tu, td, tm) in stratum_terms(st, weight, params, at):
+        per_k[kind], rising[kind] = terms, tu
         buckets = np.zeros((len(ts), 2 * kx + 1))
-        buckets[:, kx] = eq[kind]
+        buckets[:, kx] = terms[:, 0]
         buckets[:, kx + 1:] += tu[:, 1:]
         buckets[:, : kx][:, ::-1] += td[:, 1:]
         # offset o collects the middle strata of every radius k >= |o| + 2
@@ -201,23 +209,21 @@ def _finish_scans(params: TreeParams, ts: np.ndarray, weight, tol: float,
             suffix[:, p: kx + 1: 2] = np.cumsum(tm[:, p::2][:, ::-1], axis=1)[:, ::-1]
         buckets += suffix[:, from_k]
         offsets[kind] = buckets
-        if kind in ("gradX", "gradY"):
-            # comparable part: the rising strata for gradX, mirrored for
-            # gradY; equal pairs belong to the comparable part
-            rising[kind] = tu
 
     # slack from the finite stencil row: the top-of-row truncation decays
     # by q^(-1/2) per index walking down
     damp = np.exp(-0.5 * np.maximum(k_stop[:, None] - ks, 0.0) * params.log_q)
-    slack = w * (ks + 1.0) * eps_top[:, None] * damp
+    slack = np.exp(weight.log_at(ks)) * (ks + 1.0) * eps_top[:, None] * damp
+    _check_finite(np.sum(slack, axis=-1) + tail, at, weight)
 
     # sums run over each row's own k = 0..k_stop, so they match a scan of
-    # that time alone bitwise
+    # that time alone bitwise; the comparable part is the equal pair plus
+    # the rising strata, which gradY reads with its mirrored stencil
     out = []
     for i, k in enumerate(k_stop.tolist()):
         totals = {kind: float(np.sum(v[i, : k + 1])) for kind, v in per_k.items()}
-        comparable = {kind: float(eq[kind][i] + np.sum(tu[i, 1: k + 1]))
-                      for kind, tu in rising.items()}
+        comparable = {kind: float(per_k[kind][i, 0] + np.sum(rising[kind][i, 1: k + 1]))
+                      for kind in ("gradX", "gradY")}
         out.append(ScanResult(
             t=float(ts[i]), k_stop=k, totals=totals,
             offsets={kind: v[i, kx - k: kx + k + 1] for kind, v in offsets.items()},
@@ -335,24 +341,16 @@ def q_uniformity(kind: str, eps: float, t_grid, q_set,
                  tol: float = DEFAULT_TOL, restricted: bool = False) -> tuple[float, dict[int, float]]:
     """Spread of the empirical constants across branching numbers.
 
-    The constant per q is max over the t grid of value * t^power, with the
-    claimed power of the kind (plus 1/2 when level-restricted). Returns
-    (max/min spread, per-q constants).
+    The constant per q is the :func:`sweep` maximum over the t grid of
+    value * t^power, with the claimed power of the kind (plus 1/2 when
+    level-restricted). Returns (max/min spread, per-q constants).
     """
-    power = CLAIMED_POWERS[kind] + (0.5 if restricted else 0.0)
+    restriction = "horocycle" if restricted else "none"
     consts: dict[int, float] = {}
-    for q in q_set:
-        params = TreeParams(q)
-        vals = []
-        for t in t_grid:
-            if restricted:
-                v, _ = horocycle_sup(kind, t, eps, params, tol)
-            else:
-                v = weighted_sum(SumSpec(kind, t, eps), params, tol)
-            vals.append(v)
-        consts[q] = float(np.max(np.asarray(vals) * np.power(t_grid, power)))
-    spread = max(consts.values()) / min(consts.values())
-    return spread, consts
+    for c in sweep(q_set, t_grid, [eps], tol, restricted).cells:
+        if (c.kind, c.restriction) == (kind, restriction):
+            consts[c.q] = max(consts.get(c.q, 0.0), c.value_times_power)
+    return max(consts.values()) / min(consts.values()), consts
 
 
 @dataclass
@@ -408,54 +406,33 @@ def sweep(q_list, t_grid, eps_list, tol: float = DEFAULT_TOL,
         scans = dict(map(compute, keys))
 
     report = SweepReport()
-    series: dict[tuple, list[tuple[float, float, float]]] = {}
-    for q in q_list:
-        for eps in eps_list:
-            for t in t_grid:
-                res = scans[(q, eps, t)]
-                bound = res.tail + res.row_slack
-                for kind in KINDS:
-                    value = res.totals[kind]
-                    power = CLAIMED_POWERS[kind]
-                    report.cells.append(SweepCell(q, t, eps, kind, "none", value,
-                                                  bound, value * t**power))
-                    series.setdefault((kind, "none", q, eps), []).append((t, value, bound))
-                    if restricted:
-                        rvalue = float(np.max(res.offsets[kind]))
-                        rpower = power + 0.5
-                        report.cells.append(SweepCell(q, t, eps, kind, "horocycle",
-                                                      rvalue, bound, rvalue * t**rpower))
-                        series.setdefault((kind, "horocycle", q, eps), []).append((t, rvalue, bound))
-
     restrictions = ("none", "horocycle") if restricted else ("none",)
-    for restriction in restrictions:
-        extra = 0.5 if restriction == "horocycle" else 0.0
+    # (kind, restriction) -> (q, eps) -> [(t, value)], in summary order
+    series: dict[tuple, dict] = {(kind, r): {} for r in restrictions for kind in KINDS}
+    for key in keys:
+        q, eps, t = key
+        res = scans[key]
         for kind in KINDS:
-            slopes, spreads, consts = [], [], {}
-            pooled_t, pooled_v = [], []
-            power = CLAIMED_POWERS[kind] + extra
-            for (k_, r_, q, eps), pts in series.items():
-                if k_ != kind or r_ != restriction:
-                    continue
-                ts = np.array([p[0] for p in pts])
-                vs = np.array([p[1] for p in pts])
-                fit = fit_decay(ts, vs, power)
-                slopes.append(fit.slope)
-                spreads.append(fit.spread)
-                consts[(q, eps)] = fit.constant
-                pooled_t.extend(ts)
-                pooled_v.extend(vs)
-            pooled = fit_decay(pooled_t, pooled_v, power)
-            by_q: dict[int, float] = {}
-            for (q, eps), c in consts.items():
-                by_q[q] = max(by_q.get(q, 0.0), c)
-            q_spread = max(by_q.values()) / min(by_q.values()) if len(by_q) > 1 else 1.0
-            report.summary[f"{kind}/{restriction}"] = {
-                "claimed_power": power,
-                "fitted_exponent": pooled.slope,
-                "per_series_exponents": slopes,
-                "empirical_constant": max(consts.values()),
-                "max_series_spread": max(spreads),
-                "q_spread": q_spread,
-            }
+            for r in restrictions:
+                value = res.totals[kind] if r == "none" else float(np.max(res.offsets[kind]))
+                power = CLAIMED_POWERS[kind] + (0.5 if r == "horocycle" else 0.0)
+                report.cells.append(SweepCell(q, t, eps, kind, r, value,
+                                              res.tail + res.row_slack, value * t**power))
+                series[(kind, r)].setdefault((q, eps), []).append((t, value))
+
+    for (kind, r), by_series in series.items():
+        power = CLAIMED_POWERS[kind] + (0.5 if r == "horocycle" else 0.0)
+        fits = {key: fit_decay(*zip(*pts), power) for key, pts in by_series.items()}
+        pooled = fit_decay(*zip(*(p for pts in by_series.values() for p in pts)), power)
+        by_q: dict[int, float] = {}
+        for (q, _), fit in fits.items():
+            by_q[q] = max(by_q.get(q, 0.0), fit.constant)
+        report.summary[f"{kind}/{r}"] = {
+            "claimed_power": power,
+            "fitted_exponent": pooled.slope,
+            "per_series_exponents": [fit.slope for fit in fits.values()],
+            "empirical_constant": max(fit.constant for fit in fits.values()),
+            "max_series_spread": max(fit.spread for fit in fits.values()),
+            "q_spread": max(by_q.values()) / min(by_q.values()) if len(by_q) > 1 else 1.0,
+        }
     return report

@@ -157,15 +157,16 @@ def recurrence_residual(t: float, j: int, tol: float = DEFAULT_TOL) -> float:
             - (2.0 * j / t) * heat_z(t, j, tol))
 
 
-def phi(x: float) -> float:
-    """Decay profile -x + sqrt(1+x^2) + log(x / (1 + sqrt(1+x^2))), x > 0.
+def phi(x):
+    """Decay profile -x + sqrt(1+x^2) + log(x / (1 + sqrt(1+x^2))), x > 0
+    (elementwise on arrays); heat_z(t, n) <= exp(n phi(t/n)) (Chernoff).
 
     Rearranged as 1/(x + hypot(x, 1)) - asinh(1/x), which is stable for
     both tiny and huge x. Negative on all of (0, inf).
     """
-    if x <= 0:
+    if np.any(np.asarray(x) <= 0):
         raise ValueError(f"phi is defined on positive reals, got {x}")
-    return 1.0 / (x + math.hypot(x, 1.0)) - math.asinh(1.0 / x)
+    return 1.0 / (x + np.hypot(x, 1.0)) - np.arcsinh(1.0 / x)
 
 
 def _certified_row_extent(t: float, eps: float, tol: float) -> int:
@@ -191,6 +192,14 @@ def _weighted_row(t: float, eps: float, tol: float) -> tuple[np.ndarray, float]:
         nmax = int(1.5 * nmax) + 16
 
 
+def _check_weighted(t: float, eps: float, enforce_time_floor: bool) -> None:
+    if eps < 0:
+        raise ValueError("weight exponent must be >= 0")
+    if enforce_time_floor and t < 1.0:
+        raise ValueError("weighted bounds are stated for t >= 1; "
+                         "pass enforce_time_floor=False to probe small times")
+
+
 def weighted_sup(t: float, eps: float, tol: float = 1e-12,
                  enforce_time_floor: bool = True, return_log: bool = False) -> float:
     """sup over integers of e^(eps |n| / sqrt t) heat_z(t, n).
@@ -200,11 +209,7 @@ def weighted_sup(t: float, eps: float, tol: float = 1e-12,
     times (where it blows up for eps > 0). ``return_log`` switches to the
     log of the sup, which survives overflow in the small-time regime.
     """
-    if eps < 0:
-        raise ValueError("weight exponent must be >= 0")
-    if enforce_time_floor and t < 1.0:
-        raise ValueError("weighted bounds are stated for t >= 1; "
-                         "pass enforce_time_floor=False to probe small times")
+    _check_weighted(t, eps, enforce_time_floor)
     if not return_log:
         weighted, _ = _weighted_row(t, eps, tol)
         return float(np.max(weighted))
@@ -224,11 +229,7 @@ def weighted_l1(t: float, eps: float, tol: float = 1e-12,
     Equals 1 exactly at eps = 0 (walk mass); bounded uniformly in t >= 1
     for each eps >= 0. The truncation tail is certified geometric.
     """
-    if eps < 0:
-        raise ValueError("weight exponent must be >= 0")
-    if enforce_time_floor and t < 1.0:
-        raise ValueError("weighted bounds are stated for t >= 1; "
-                         "pass enforce_time_floor=False to probe small times")
+    _check_weighted(t, eps, enforce_time_floor)
     weighted, tail = _weighted_row(t, eps, tol)
     return float(weighted[0] + 2.0 * np.sum(weighted[1:]) + 2.0 * tail)
 

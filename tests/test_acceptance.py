@@ -31,3 +31,11 @@ def test_criterion(results, cid):
 def test_negative_control_detects_wrong_power():
     res = acceptance.check_theorem_scaling(claimed_powers={"H": 1.0})
     assert not res.passed
+
+
+def test_spectrum_negative_control_detects_wrong_radius():
+    # the dense extremes of each ball match the radial ones at its own
+    # radius and miss them by far more than the tolerance one radius up
+    for q, radius in ((2, 6), (3, 4)):
+        assert acceptance.dense_radial_gap(q, radius, radius)[2] <= acceptance.DENSE_RADIAL_TOL
+        assert acceptance.dense_radial_gap(q, radius, radius + 1)[2] >= 0.01

@@ -203,13 +203,48 @@ def test_integrate_rows_calls_once_per_panel_and_is_exact_to_degree_31():
         assert np.all((nodes > lo) & (nodes < hi))
 
 
-def test_integrate_rows_error_is_last_refinement_difference():
-    # a kink defeats Gauss convergence, so max_panels = 4 stops the doubling
+def test_integrate_rows_raises_at_panel_budget():
+    # a kink defeats Gauss convergence, so the doubling runs into the budget
     kink = lambda ts: np.abs(ts - 0.3)[:, None] * np.array([1.0, -2.0])
     f, calls = _recording(kink)
-    value, err = riesz._integrate_rows(f, 0.0, 1.0, 1e-15, max_panels=4)
-    assert len(calls) == 1 + 2 + 4
-    four, two = _composite_gauss(kink, 0.0, 1.0, 4), _composite_gauss(kink, 0.0, 1.0, 2)
-    assert np.allclose(value, four, rtol=1e-15, atol=0.0)
-    assert err == pytest.approx(float(np.max(np.abs(four - two))), rel=1e-12)
-    assert err > 1e-15
+    with pytest.raises(RuntimeError, match="256 panels"):
+        riesz._integrate_rows(f, 0.0, 1.0, 1e-15)
+    assert riesz.MAX_PANELS == 256
+    assert len(calls) == sum(2**i for i in range(9))  # 1 + 2 + ... + 256
+
+
+def test_lipschitz_distance_one_identity_whole_tree():
+    # for z the predecessor of y, K_n(x, y) - K_n(x, z) summed in |.| over
+    # the tree is the second-slot gradient column sum; the radius-40 ball
+    # holds all but a negligible part of it for blocks n <= 2
+    y = Vertex(0, (0, 1) * 20)
+    z = y.predecessor()
+    for n in (0, 1, 2):
+        lhs, bound = riesz.lipschitz_check(n, y, z, P2, radius=40)
+        assert lhs == pytest.approx(bound, rel=1e-10)
+
+
+def test_block_column_sum_bounds_enumerated_ball():
+    # vertex by vertex over the radius-10 ball the column sum falls short
+    # of kn_weighted_sum by the mass outside the ball plus the a priori
+    # truncation the sum adds (at most tol/100); the outside mass is
+    # bounded independently by the scans' per-radius terms past 10,
+    # integrated over the block with the absolute value inside.
+    # Measured: excess 2.24697e-8, outside bound 2.24597e-8, truncation 1.0e-11
+    y = Vertex(0, (0, 1) * 5)
+    radius, tol = 10, 1e-9
+    brute = sum(abs(riesz.block_kernel_value(
+        0, RieszQuery(distance(x, y), level(x) + level(y), relation(x, y)), P2, tol))
+        * 2.0 ** level(x) for x in enumerate_ball(y, radius, P2))
+    col = riesz.block_column_sum(0, "gradX", sums.ExpWeight(0.0), P2, tol)
+    assert riesz.kn_weighted_sum(0, 0.0, P2, tol) == col.value
+    assert col.truncation <= 1e-2 * tol
+
+    def outside(ts):
+        return np.array([[t**-0.5 * (float(np.sum(r.per_k["gradX"][radius + 1:]))
+                                     + r.tail + r.row_slack) / math.sqrt(math.pi)]
+                         for t, r in zip(ts, sums.scan_many(P2, ts, tol=1e-14))])
+
+    beyond = float(_composite_gauss(outside, 1.0, 2.0, 4)[0])
+    assert col.value >= brute - 1e-12
+    assert col.value - brute <= beyond + col.truncation + 1e-12

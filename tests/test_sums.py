@@ -30,6 +30,22 @@ def test_nonfinite_time_rejected(t):
         sums.scan(P2, t)
 
 
+@pytest.mark.parametrize("t, rate", [(4096.0, 0.7), (4096.0, 0.3), (64.0, 2.0)])
+def test_overflowing_weight_raises(t, rate):
+    # the weight outgrows the kernel, so the sums are not finite: the scan
+    # raises and names the time and the weight
+    with pytest.raises(OverflowError, match=rf"t = \[{t}\].*ExpWeight\(rate={rate}\)"):
+        sums.scan(P2, t, ExpWeight(rate))
+
+
+def test_overflowing_weighted_sum_raises_large_finite_returns():
+    with pytest.raises(OverflowError):
+        sums.weighted_sum(SumSpec("H", 4096.0, eps=44.8), P2)
+    res = sums.scan(P2, 4096.0, ExpWeight(0.2))
+    assert 1e37 < res.totals["H"] < 1e39 and math.isfinite(res.totals["gradXY"])
+    assert 0.0 < res.tail < 1e-9
+
+
 def test_mass_and_monotonicity_in_eps():
     assert sums.weighted_sum(SumSpec("H", 2.0), P2, 1e-12) == pytest.approx(1.0, abs=1e-10)
     for kind in ("H", "gradX", "gradXY"):
