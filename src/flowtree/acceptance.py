@@ -282,6 +282,7 @@ def check_spectrum(_cfg=None) -> CheckResult:
         ok = ok and gap <= DENSE_RADIAL_TOL and lo >= -1e-9 and hi <= 2.0 + 1e-9
         details[f"dense_q{q}_r{radius}"] = f"[{_fmt(lo)}, {_fmt(hi)}]"
         details[f"dense_radial_gap_q{q}"] = _fmt(gap)
+        details[f"dense_radial_margin_q{q}"] = _fmt(DENSE_RADIAL_TOL - gap)
     for q in (2, 3):
         lo, hi = oracle.flow_spectrum_bounds(q, 10)
         ok = ok and lo >= -1e-9 and hi <= 2.0 + 1e-9
@@ -328,7 +329,8 @@ def check_monte_carlo(_cfg=None, n_walks: int = 1_000_000, seed: int = 74) -> Ch
     ok = worst <= 4.0 and drift <= 4.0
     return CheckResult(13, "Monte Carlo walk", ok,
                        {"max_sigma_deviation": _fmt(worst), "drift_sigma": _fmt(drift),
-                        "walks": n_walks})
+                        "walks": n_walks, "sigma_margin": _fmt(4.0 - worst),
+                        "drift_margin": _fmt(4.0 - drift)})
 
 
 CHECKS = [

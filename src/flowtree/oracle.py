@@ -21,9 +21,21 @@ matrix), which keeps entrywise relative accuracy even for entries near
 the underflow floor. :func:`heat_matrix`, :func:`radial_heat_profile`
 and :func:`z_heat_column` take that route. :func:`orthonormal_heat_matrix`
 uses a symmetric eigendecomposition, whose round-off is absolute (near
-machine epsilon on every entry), and :func:`spectrum` returns the
-eigenvalues themselves. A continuous-time Monte Carlo walk with
-exponential clocks provides a model-free estimate of kernel values.
+machine epsilon on every entry).
+
+:func:`spectrum` never forms the n x n matrix. Trees are bipartite: in
+the order of even, then odd distance from the center, A = [[0, B], [B^T, 0]],
+so the eigenvalues of A are exactly +-sigma_i for the singular values of
+the n_even x n_odd block B, plus |n_even - n_odd| zeros. The SVD of B
+has the same absolute error, O(eps ||A||), as a symmetric eigensolver on
+the whole matrix; B B^T is never formed, since squaring would lose half
+the digits of the eigenvalues near 1.
+
+A continuous-time Monte Carlo walk with exponential clocks provides a
+model-free estimate of kernel values. :func:`mc_heat` advances all walks
+one jump at a time with array operations and consumes the random stream
+in the order of a jump-by-jump loop over the walks, so its results are
+bitwise those of that loop under the same seed.
 """
 
 from __future__ import annotations
@@ -90,19 +102,18 @@ class Operators:
 MAX_DENSE = 25_000
 
 
-def _adjacency(model: BallModel, max_dense: int = MAX_DENSE) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ball adjacency and the (vertex, predecessor) index pairs."""
+def _edges(model: BallModel, max_dense: int = MAX_DENSE) -> np.ndarray:
+    """(vertex, predecessor) index pairs of the ball's edges."""
     if model.size > max_dense:
         raise MemoryError(f"ball of {model.size} vertices exceeds the dense guard {max_dense}")
-    pairs = np.array([(i, model.index[v.word[:-1]]) for i, v in enumerate(model.vertices)
-                      if v.word and v.word[:-1] in model.index], dtype=int).reshape(-1, 2)
-    adj = np.zeros((model.size, model.size))
-    adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
-    return adj, pairs
+    return np.array([(i, model.index[v.word[:-1]]) for i, v in enumerate(model.vertices)
+                     if v.word and v.word[:-1] in model.index], dtype=int).reshape(-1, 2)
 
 
 def assemble_operators(model: BallModel, max_dense: int = MAX_DENSE) -> Operators:
-    adj, pairs = _adjacency(model, max_dense)
+    pairs = _edges(model, max_dense)
+    adj = np.zeros((model.size, model.size))
+    adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
     pred = np.zeros_like(adj)
     pred[pairs[:, 0], pairs[:, 1]] = 1.0
     rq = math.sqrt(model.params.q)
@@ -117,18 +128,28 @@ def assemble_operators(model: BallModel, max_dense: int = MAX_DENSE) -> Operator
     )
 
 
-def spectrum(model: BallModel, ops: Operators | None = None) -> np.ndarray:
-    """Sorted eigenvalues of the symmetric flow Laplacian matrix.
+def spectrum(model: BallModel) -> np.ndarray:
+    """Sorted eigenvalues of the symmetric flow Laplacian I - A/(2 sqrt q).
 
-    Without ``ops`` only the adjacency is built, and it is turned into
-    I - A/(2 sqrt q) in place.
+    Every edge joins an even and an odd distance from the center, so A is
+    [[0, B], [B^T, 0]] in parity order and its eigenvalues are the
+    singular values of B with both signs, plus |n_even - n_odd| zeros.
+    Only B is formed.
     """
-    if ops is not None:
-        return np.linalg.eigvalsh(ops.flow)
-    flow, _ = _adjacency(model)
-    flow *= -1.0 / (2.0 * math.sqrt(model.params.q))
-    flow[np.diag_indices_from(flow)] += 1.0
-    return np.linalg.eigvalsh(flow)
+    pairs = _edges(model)
+    odd = model.dist_center % 2 == 1
+    n_odd = int(odd.sum())
+    n_even = model.size - n_odd
+    pos = np.empty(model.size, dtype=int)  # index within its parity class
+    pos[~odd] = np.arange(n_even)
+    pos[odd] = np.arange(n_odd)
+    flip = odd[pairs[:, 0]]  # child odd, predecessor even
+    pairs[flip] = pairs[flip, ::-1]
+    block = np.zeros((n_even, n_odd))
+    block[pos[pairs[:, 0]], pos[pairs[:, 1]]] = 1.0
+    half = np.linalg.svd(block, compute_uv=False) / (2.0 * math.sqrt(model.params.q))
+    ones = np.ones(abs(n_even - n_odd))
+    return np.sort(np.concatenate([1.0 - half, ones, 1.0 + half]))
 
 
 def heat_matrix(model: BallModel, t: float, ops: Operators | None = None) -> np.ndarray:
@@ -330,6 +351,39 @@ class WalkResult:
         return p, math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
 
 
+def _tally(q: int, up: np.ndarray, length: np.ndarray,
+           digits: np.ndarray) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Count the distinct states (up, word) of the walks.
+
+    Words are packed into base-q int64 chunks, one column at a time, and
+    the runs of equal (up, length, chunks) keys are counted after a
+    lexicographic sort.
+    """
+    top = int(length.max())
+    per_chunk = 1
+    while q ** (per_chunk + 1) <= 2**63:
+        per_chunk += 1
+    keys = [up, length]
+    for lo in range(0, top, per_chunk):
+        key = np.zeros(len(up), dtype=np.int64)
+        for c in range(lo, min(lo + per_chunk, top)):
+            key *= q  # digits past a word's length are left from popped letters
+            key += np.where(c < length, digits[:, c], 0)
+        keys.append(key)
+    idx = np.lexsort(keys[::-1])
+    first = np.zeros(len(up), dtype=bool)
+    first[0] = True
+    for key in keys:
+        ordered = key[idx]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(up))
+    reps = idx[starts]
+    return {(a, tuple(w[:k])): c for a, k, w, c in
+            zip(up[reps].tolist(), length[reps].tolist(),
+                digits[reps, :top].tolist(), counts.tolist())}
+
+
 def mc_heat(config: WalkConfig, targets: list[RelState] | None = None) -> WalkResult:
     """Simulate the walk and tabulate arrival frequencies.
 
@@ -337,41 +391,39 @@ def mc_heat(config: WalkConfig, targets: list[RelState] | None = None) -> WalkRe
     H_t(x, y) mu(y) for the corresponding pair. Deterministic under the
     seed: identical configurations reproduce results bit for bit.
     """
-    q, t = config.q, config.t
+    q, t, n = config.q, config.t, config.n_walks
     rng = np.random.default_rng(config.seed)
-    jumps = rng.poisson(t, config.n_walks)
+    jumps = rng.poisson(t, n)
     draws = rng.random(int(jumps.sum()))
-    hits: dict[tuple[int, tuple[int, ...]], int] = {}
-    pos = 0
-    lvl_sum = 0.0
-    lvl_sq = 0.0
-    for count in jumps:
-        a = 0
-        w: list[int] = []
-        for _ in range(count):
-            u = draws[pos]
-            pos += 1
-            if u < 0.5:
-                if w:
-                    w.pop()
-                else:
-                    a += 1
-            else:
-                digit = min(int((u - 0.5) * 2.0 * q), q - 1)
-                if w or a == 0:
-                    w.append(digit)
-                elif digit == 0:
-                    a -= 1
-                else:
-                    w.append(digit)
-        key = (a, tuple(w))
-        hits[key] = hits.get(key, 0) + 1
-        off = a - len(w)
-        lvl_sum += off
-        lvl_sq += off * off
-    n = config.n_walks
-    mean = lvl_sum / n
-    var = max(lvl_sq / n - mean * mean, 0.0)
+    # walk i's j-th jump reads draws[start_i + j]; with the walks ordered by
+    # jump count, longest first, those still jumping at step j are a prefix
+    order = np.argsort(-jumps, kind="stable")
+    starts = (np.cumsum(jumps) - jumps)[order]
+    up = np.zeros(n, dtype=np.int64)
+    length = np.zeros(n, dtype=np.int64)
+    digits = np.zeros((n, 8), dtype=np.min_scalar_type(q - 1))
+    for j, m in enumerate(n - np.cumsum(np.bincount(jumps))):
+        if m == 0:
+            break
+        u = draws[starts[:m] + j]
+        a, ln = up[:m], length[:m]
+        rise = u < 0.5
+        digit = np.minimum(((u - 0.5) * 2.0 * q).astype(np.int64), q - 1)
+        empty = ln == 0
+        back = ~rise & empty & (a > 0) & (digit == 0)
+        push = np.flatnonzero(~rise & ~back)
+        a += rise & empty
+        a -= back
+        ln -= rise & ~empty
+        col = ln[push]
+        if push.size and col.max() == digits.shape[1]:
+            digits = np.concatenate([digits, np.zeros_like(digits)], axis=1)
+        digits[push, col] = digit[push]
+        ln[push] += 1
+    hits = _tally(q, up, length, digits)
+    off = up - length  # integer sums, exact as the loop's float sums were
+    mean = float(off.sum()) / n
+    var = max(float((off * off).sum()) / n - mean * mean, 0.0)
     result = WalkResult(config=config, hits=hits, mean_level_offset=mean,
                         stderr_level_offset=math.sqrt(var / n))
     if targets:

@@ -211,11 +211,84 @@ def test_dense_guard():
         oracle.assemble_operators(model, max_dense=100)
 
 
+def _check_spectrum(model):
+    ops = oracle.assemble_operators(model)
+    expected = np.linalg.eigvalsh(ops.flow)
+    eigs = oracle.spectrum(model)
+    assert eigs.shape == expected.shape
+    assert np.max(np.abs(eigs - expected)) <= 1e-13
+    # eigenvalue 1 has the multiplicity of the adjacency kernel; at least
+    # |n_even - n_odd| of its copies come out exactly
+    n_odd = int(np.sum(model.dist_center % 2))
+    ones = np.abs(eigs - 1.0) <= 1e-9
+    assert np.sum(ones) == model.size - np.linalg.matrix_rank(ops.adjacency)
+    assert np.sum(eigs == 1.0) >= abs(model.size - 2 * n_odd) > 0
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("radius", [4, 5])
 def test_spectrum_equals_eigvalsh_of_assembled_flow(q, radius):
-    model = oracle.build_ball_model(TreeParams(q), radius)
-    ops = oracle.assemble_operators(model)
-    expected = np.linalg.eigvalsh(ops.flow)
-    assert np.array_equal(oracle.spectrum(model), expected)
-    assert np.array_equal(oracle.spectrum(model, ops), expected)
+    _check_spectrum(oracle.build_ball_model(TreeParams(q), radius))
+
+
+def test_spectrum_off_centre_and_766_vertex_balls():
+    _check_spectrum(oracle.build_ball_model(P3, 4, Vertex(0, (1, 0, 2, 1, 0, 1))))
+    model = oracle.build_ball_model(P2, 8)
+    assert model.size == 766
+    _check_spectrum(model)
+
+
+def _loop_walk(config):
+    """Jump-by-jump reference walk, one Python loop per walk."""
+    q, t = config.q, config.t
+    rng = np.random.default_rng(config.seed)
+    jumps = rng.poisson(t, config.n_walks)
+    draws = rng.random(int(jumps.sum()))
+    hits = {}
+    pos = 0
+    lvl_sum = 0.0
+    lvl_sq = 0.0
+    for count in jumps:
+        a = 0
+        w = []
+        for _ in range(count):
+            u = draws[pos]
+            pos += 1
+            if u < 0.5:
+                if w:
+                    w.pop()
+                else:
+                    a += 1
+            else:
+                digit = min(int((u - 0.5) * 2.0 * q), q - 1)
+                if w or a == 0:
+                    w.append(digit)
+                elif digit == 0:
+                    a -= 1
+                else:
+                    w.append(digit)
+        key = (a, tuple(w))
+        hits[key] = hits.get(key, 0) + 1
+        off = a - len(w)
+        lvl_sum += off
+        lvl_sq += off * off
+    n = config.n_walks
+    mean = lvl_sum / n
+    var = max(lvl_sq / n - mean * mean, 0.0)
+    return hits, mean, math.sqrt(var / n)
+
+
+@pytest.mark.parametrize("q,t,n_walks", [(2, 0.3, 3000), (2, 4.0, 3000), (3, 1.0, 3000),
+                                         (3, 100.0, 400), (5, 10.0, 2000),
+                                         (300, 30.0, 1000), (300, 100.0, 400)])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_walk_matches_jump_loop(q, t, n_walks, seed):
+    config = oracle.WalkConfig(q=q, t=t, n_walks=n_walks, seed=seed)
+    hits, mean, stderr = _loop_walk(config)
+    result = oracle.mc_heat(config)
+    assert result.hits == hits
+    assert result.mean_level_offset == mean
+    assert result.stderr_level_offset == stderr
+    if q == 300 and t == 100.0:
+        # words longer than seven base-300 digits span two int64 chunks
+        assert max(len(word) for _, word in hits) > 7
