@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import sums
 from .heat import STENCILS, check_pair, jhat_rows, scaled_stencils
@@ -141,7 +140,8 @@ def _radius(n: int, weight, tol: float, min_radius: int) -> tuple[int, float]:
         ks = np.arange(lo, cap + 1, dtype=float)
         m = ks - 1.0
         if n == SMALL_TIME:  # t^(-3/2) (t/2)^m integrates to 2^(-m) / (m - 1/2)
-            log_h = -m * math.log(2.0) - gammaln(m + 1.0) - np.log(m - 0.5)
+            log_fact = np.array([math.lgamma(x) for x in m + 1.0])
+            log_h = -m * math.log(2.0) - log_fact - np.log(m - 0.5)
             rho = 0.5 / ks
         else:  # t^(-3/2) integrates over the block to 2^(1-n/2) (1 - 2^(-1/2))
             big_t = 2.0**(n + 1)

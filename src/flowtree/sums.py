@@ -362,6 +362,7 @@ class SweepCell:
     restriction: str
     value: float
     tail_bound: float
+    k_stop: int
     value_times_power: float
 
 
@@ -374,10 +375,10 @@ class SweepReport:
 
     def rows(self) -> list[tuple]:
         return [(c.q, c.t, c.eps, c.kind, c.restriction, c.value,
-                 c.tail_bound, c.value_times_power) for c in self.cells]
+                 c.tail_bound, c.k_stop, c.value_times_power) for c in self.cells]
 
     COLUMNS = ("q", "t", "epsilon", "kind", "restriction", "value",
-               "tail_bound", "value_times_power")
+               "tail_bound", "k_stop", "value_times_power")
 
 
 def sweep(q_list, t_grid, eps_list, tol: float = DEFAULT_TOL,
@@ -416,8 +417,8 @@ def sweep(q_list, t_grid, eps_list, tol: float = DEFAULT_TOL,
             for r in restrictions:
                 value = res.totals[kind] if r == "none" else float(np.max(res.offsets[kind]))
                 power = CLAIMED_POWERS[kind] + (0.5 if r == "horocycle" else 0.0)
-                report.cells.append(SweepCell(q, t, eps, kind, r, value,
-                                              res.tail + res.row_slack, value * t**power))
+                report.cells.append(SweepCell(q, t, eps, kind, r, value, res.tail + res.row_slack,
+                                              res.k_stop, value * t**power))
                 series[(kind, r)].setdefault((q, eps), []).append((t, value))
 
     for (kind, r), by_series in series.items():

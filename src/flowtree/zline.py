@@ -7,17 +7,17 @@ positive series
     heat_z(t, n) = e^(-t) * sum_{m >= |n|, m = n mod 2} (t^m / m!) 2^(-m) C(m, (m+n)/2),
 
 summed in log space with compensated accumulation and a certified Poisson
-tail stopping rule. Rows of values (fixed t, n = 0..N) go through a fast
-path, the scaled modified Bessel function of the first kind. The test
-suite anchors that row to 1e-12 relative against an arbitrary-precision
-Bessel oracle; at large t the row is the more accurate side, since the
-series carries rounding of order t times machine epsilon. For arguments
-beyond the range of the library Bessel routine a large-argument
-asymptotic row takes over (machine precision once t >> n^2).
+tail stopping rule. Rows of values (fixed t, n = 0..N) are the scaled
+modified Bessel function e^(-t) I_n(t), evaluated with numpy alone:
+Debye's uniform asymptotic expansion (DLMF 10.41) for orders n >= 20 at
+every t, and the backward ratio recurrence below. The test suite anchors
+the rows to 1e-12 relative against an arbitrary-precision Bessel oracle;
+at large t the row is the more accurate side, since the series carries
+rounding of order t times machine epsilon.
 
 :func:`heat_z_rows` evaluates the rows of a whole vector of times in one
-call (one library call over the time x index grid); :func:`heat_z_row`
-is its cached one-time view.
+call (array passes over the time x index grid); :func:`heat_z_row` is its
+cached one-time view.
 
 The module also carries the auxiliary decay profile ``phi`` and the
 weighted sup / l1 bounds of the kernel that drive every large-time
@@ -30,13 +30,17 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.special
 
 DEFAULT_TOL = 1e-13
 
-# scipy's scaled Bessel is reliable below this argument; above it the
-# asymptotic row is already at machine precision for the orders we use
-_IVE_T_MAX = 2.0**29
+#: (first order, number of terms) per column block of Debye's expansion:
+#: past the first order, max_p |u_K(p)| / n^K < 1e-17 for the block's K;
+#: the orders below the first block come from a backward recurrence
+_DEBYE_BLOCKS = ((20, 16), (64, 10), (200, 7), (1_000, 6), (3_000, 5), (10_000, 4))
+#: rows at t up to this take their scale from the mass identity (Miller)
+_MILLER_T_MAX = 40.0
+#: most columns evaluated in one pass, which bounds the temporaries
+_CHUNK = 8192
 
 
 def check_time(t) -> None:
@@ -92,43 +96,98 @@ def heat_z(t: float, n: int, tol: float = DEFAULT_TOL, rtol: float = 1e-12) -> f
             raise RuntimeError("series failed to terminate")
 
 
-def _asymptotic_scaled_bessel_row(nmax: int, t) -> np.ndarray:
-    # large-argument expansion of e^(-t) I_n(t); needs t >> nmax^2. For an
-    # array of times the rows stack on the last axis, and each row stops
-    # taking terms once its own last term is below 1e-18.
-    n = np.arange(nmax + 1, dtype=float)
-    mu = 4.0 * n * n
-    t = np.asarray(t, dtype=float)[..., None]
-    term = np.ones(t.shape[:-1] + n.shape)
-    out = np.ones_like(term)
-    live = np.ones_like(t, dtype=bool)
-    for k in range(1, 40):
-        term = -term * (mu - (2 * k - 1) ** 2) / (8.0 * k * t)
-        out += np.where(live, term, 0.0)
-        live &= np.max(np.abs(term), axis=-1, keepdims=True) >= 1e-18
-        if not live.any():
-            break
-    return out / np.sqrt(2.0 * math.pi * t)
+def _horner(coefs, x):
+    """sum_i coefs[i] x^i, elementwise over the trailing axes."""
+    total = coefs[-1]
+    for c in coefs[-2::-1]:
+        total = total * x + c
+    return total
+
+
+def _debye_coefficients(kmax: int) -> np.ndarray:
+    """Debye's polynomials u_k(p), k < kmax, over sqrt(2 pi): entry [d, k] is
+    the coefficient of p^d, from u_0 = 1 and u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2
+    + (1/8) int_0^p (1 - 5 s^2) u_k(s) ds (DLMF 10.41.9)."""
+    poly = np.polynomial.polynomial
+    coef = np.zeros((3 * kmax + 1, kmax))
+    u = np.ones(1)
+    for k in range(kmax):
+        coef[: len(u), k] = u
+        u = poly.polyadd(poly.polymul([0.0, 0.0, 0.5, 0.0, -0.5], poly.polyder(u)),
+                         poly.polyint(poly.polymul([1.0, 0.0, -5.0], u)) / 8.0)
+    return coef / math.sqrt(2.0 * math.pi)
+
+
+_DEBYE = _debye_coefficients(_DEBYE_BLOCKS[0][1])
+
+
+def _series_groups(n: np.ndarray, kterms: int) -> np.ndarray:
+    """Coefficients of p^d in sum_{k < kterms} u_k(p) / n^k / sqrt(2 pi), one
+    column per order in n, at [d % 4, d // 4, 0]."""
+    debye = _DEBYE[: -(-(3 * kterms - 2) // 4) * 4, :kterms]
+    return _horner(debye.T[:, :, None], 1.0 / n).reshape(-1, 4, 1, len(n)).swapaxes(0, 1)
+
+
+#: the coefficient groups of every block but the open-ended last one
+_BLOCK_GROUPS = tuple(_series_groups(np.arange(lo, end, dtype=float), kterms)
+                      for (lo, kterms), (end, _) in zip(_DEBYE_BLOCKS, _DEBYE_BLOCKS[1:]))
+
+
+def _debye_block(t: np.ndarray, start: int, stop: int, block: int) -> np.ndarray:
+    """Debye's expansion for orders start..stop-1 of one column block, values
+    below e^-700 flushed to zero. The series is Horner in p^4 over groups of
+    four coefficients, each by Horner in p, p = n / h, h = hypot(n, t); the
+    exponent n phi(t/n) is rewritten as n^2 / (t + h) - n asinh(n/t)."""
+    n = np.arange(start, stop, dtype=float)
+    lo, kterms = _DEBYE_BLOCKS[block]
+    groups = (_BLOCK_GROUPS[block][..., start - lo: stop - lo] if block < len(_BLOCK_GROUPS)
+              else _series_groups(n, kterms))
+    h = np.hypot(n, t)
+    p = n / h
+    total = _horner(_horner(groups, p), (p * p) ** 2)
+    expo = n * n / (t + h) - n * np.arcsinh(n / t)
+    return np.exp(expo, out=np.zeros_like(expo), where=expo >= -700.0) * total / np.sqrt(h)
 
 
 def heat_z_rows(ts, nmax: int) -> np.ndarray:
-    """heat_z(t, n) for n = 0..nmax, one row per time in ``ts``.
+    """heat_z(t, n) = e^(-t) I_n(t) for n = 0..nmax, one row per time in ``ts``.
 
-    Rows are computed elementwise, so each equals the one-time row
-    bitwise whatever else is in the batch.
+    Orders n >= 20 use Debye's uniform expansion (DLMF 10.41.3), with as
+    many terms as keep the first omitted one below 1e-17 relative at every
+    t, and values below about 1e-304 flushed to zero. Lower orders come from
+    the backward recurrence I_m / I_(m-1) = 1 / (2m/t + I_(m+1) / I_m), stable
+    since I_n is the minimal solution, and take their scale from the order-20
+    value, or at t <= 40, where the mass past order 63 is below 1e-19, from
+    the mass identity (Miller). All steps are elementwise in (t, n): a row
+    equals the one-time row bitwise, and a shorter row is its prefix.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     check_time(ts)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    big = ts > _IVE_T_MAX
-    if np.any(ts[big] < 50.0 * max(nmax, 2) ** 2):  # pragma: no cover - no caller needs this regime
-        raise ValueError(f"no accurate evaluation path for t={ts[big].min()}, nmax={nmax}")
-    rows = np.empty((len(ts), nmax + 1))
-    rows[~big] = scipy.special.ive(np.arange(nmax + 1), ts[~big, None])
-    if big.any():
-        rows[big] = _asymptotic_scaled_bessel_row(nmax, ts[big])
-    return rows
+    n0, miller_top = _DEBYE_BLOCKS[0][0], _DEBYE_BLOCKS[1][0]
+    top = max(nmax, miller_top - 1)
+    rows = np.empty((len(ts), top + 1))
+    ends = [min(lo, top + 1) for lo, _ in _DEBYE_BLOCKS[1:]] + [top + 1]
+    for block, ((lo, _), end) in enumerate(zip(_DEBYE_BLOCKS, ends)):
+        for start in range(lo, end, _CHUNK):
+            stop = min(start + _CHUNK, end)
+            rows[:, start:stop] = _debye_block(ts[:, None], start, stop, block)
+    # steps[m] becomes I_(m+1) / I_m; below t ~ 1e-14 the order-20 value is
+    # flushed to zero, and the clamped seed no longer matters
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.fmin(rows[:, n0 + 1] / rows[:, n0], 1.0)
+        steps = np.arange(2.0, 2.0 * n0 + 1.0, 2.0)[:, None] / ts
+        for m in range(n0 - 1, -1, -1):
+            ratio = np.divide(1.0, np.add(steps[m], ratio, out=steps[m]), out=steps[m])
+        rel = np.cumprod(steps, axis=0)  # rel[m - 1] = I_m / I_0
+        above = np.cumsum(rel[::-1], axis=0)[-1]  # sum of I_m / I_0, m = 1..20
+        tail = rows[:, n0 + 1: miller_top].sum(axis=1)
+        i0 = np.where(ts <= _MILLER_T_MAX, (1.0 - 2.0 * tail) / (1.0 + 2.0 * above),
+                      rows[:, n0] / rel[-1])
+    rows[:, 0] = i0
+    rows[:, 1:n0] = (i0 * rel[:-1]).T
+    return rows[:, : nmax + 1]
 
 
 @lru_cache(maxsize=512)

@@ -39,6 +39,7 @@ def test_sums_json_output(capsys):
     doc = json.loads(out)
     assert doc["config"]["command"] == "sums"
     assert len(doc["cells"]) == 4 * 4 * 2
+    assert all(isinstance(c["k_stop"], int) and c["k_stop"] >= 1 for c in doc["cells"])
     assert "H/none" in doc["summary"]
 
 

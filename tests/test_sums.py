@@ -222,6 +222,10 @@ def test_sweep_report_rows_and_parallel_determinism():
     assert seq.rows() == par.rows()
     assert len(seq.rows()) == 4 * len(sums.KINDS) * 2  # restricted doubles the cells
     assert all(len(r) == len(sums.SweepReport.COLUMNS) for r in seq.rows())
+    # the stopping radius rides next to its tail bound
+    assert sums.SweepReport.COLUMNS[6:8] == ("tail_bound", "k_stop")
+    for c in seq.cells:
+        assert c.k_stop == sums.scan(TreeParams(c.q), c.t, ExpWeight(0.0), 1e-9).k_stop
 
 
 def _rel_close(a, b, rel):

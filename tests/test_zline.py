@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowtree import oracle
+from flowtree import oracle, zline
 from flowtree.zline import (
     comparability_ratio,
     heat_z,
@@ -16,7 +18,6 @@ from flowtree.zline import (
     weighted_l1,
     weighted_sup,
 )
-from flowtree.zline import _asymptotic_scaled_bessel_row
 
 
 def test_heat_z_basic_values():
@@ -85,17 +86,69 @@ def test_fast_row_matches_reference_series():
         assert row[n] == pytest.approx(heat_z(800.0, n), rel=1e-11)
 
 
+def _asymptotic_row(nmax: int, t: float) -> np.ndarray:
+    # large-argument expansion of e^(-t) I_n(t), n = 0..nmax (DLMF 10.40.1);
+    # machine precision once t >> nmax^2. Terms stop below 1e-18.
+    mu = 4.0 * np.arange(nmax + 1, dtype=float) ** 2
+    term = np.ones(nmax + 1)
+    out = np.ones(nmax + 1)
+    for k in range(1, 40):
+        term = -term * (mu - (2 * k - 1) ** 2) / (8.0 * k * t)
+        out += term
+        if np.max(np.abs(term)) < 1e-18:
+            break
+    return out / np.sqrt(2.0 * math.pi * t)
+
+
 def test_asymptotic_row_matches_library_row():
     t = 2.0**28
     direct = heat_z_row(t, 200)
-    asym = _asymptotic_scaled_bessel_row(200, t)
+    asym = _asymptotic_row(200, t)
     assert np.max(np.abs(asym - direct) / direct) < 1e-12
 
 
+def test_one_route_for_every_time():
+    # the Debye route holds out to any finite time: against the
+    # large-argument expansion where that one is exact, and by its mass
+    worst = 0.0
+    for t in (2.0**28, 2.0**30, 2.0**34, 2.0**40, 1e15, 1e18, 1e100):
+        row = heat_z_row(t, 200)
+        worst = max(worst, float(np.max(np.abs(row / _asymptotic_row(200, t) - 1.0))))
+    assert worst <= 1.8e-15
+    row = heat_z_rows([2.0**30], 10_000)[0]
+    assert np.all(np.isfinite(row)) and np.all(row > 0.0)
+    wide = heat_z_rows([2.0**30], 40 * 2**15)[0]
+    assert np.array_equal(wide[:10_001], row)
+    assert abs(wide[0] + 2.0 * np.sum(wide[1:]) - 1.0) <= 1e-13
+
+
+def test_row_mass_is_one():
+    # e^(-t) (I_0 + 2 sum_n I_n) = 1 to rounding from t = 2^-14 to 2^20,
+    # across the switch from the mass-identity scale to the Debye one at t = 40
+    worst = 0.0
+    for t in 2.0 ** np.arange(-14.0, 20.25, 0.25):
+        row = heat_z_row(t, int(40.0 * math.sqrt(t)) + 100)
+        worst = max(worst, abs(row[0] + 2.0 * math.fsum(row[1:]) - 1.0))
+    assert worst <= 2e-15
+
+
+def test_debye_polynomials_and_block_term_counts():
+    # u_1 and u_2 of DLMF 10.41.10, then the block table: past each
+    # block's first order the first omitted term is below 1e-17
+    c = zline._DEBYE * math.sqrt(2.0 * math.pi)
+    assert c[:4, 1] == pytest.approx([0.0, 3.0 / 24.0, 0.0, -5.0 / 24.0], abs=1e-17)
+    assert c[:7, 2] == pytest.approx(
+        [0.0, 0.0, 81.0 / 1152.0, 0.0, -462.0 / 1152.0, 0.0, 385.0 / 1152.0], abs=1e-17)
+    p = np.linspace(0.0, 1.0, 2001)
+    for lo, k in zline._DEBYE_BLOCKS:
+        u = np.polynomial.polynomial.polyval(p, zline._debye_coefficients(k + 1)[:, k])
+        assert np.max(np.abs(u)) * math.sqrt(2.0 * math.pi) / lo**k < 1e-17
+
+
 def test_fast_row_matches_mpmath_bessel_oracle():
-    # e^(-t) I_n(t) at 50 digits; t up to 2^34 exercises both the scipy
-    # ive route and the large-argument asymptotic row. ive flushes values
-    # below about 1e-306 to zero, so the comparison stops at 1e-300.
+    # e^(-t) I_n(t) at 50 digits; t = 2^-3..2^34 exercises the Debye orders
+    # and the recurrence below them at every scale. Rows flush values
+    # below about 1e-304 to zero, so the comparison stops at 1e-300.
     mpmath = pytest.importorskip("mpmath")
     ns = (0, 1, 2, 3, 7, 15, 31, 63, 120)
     worst = 0.0
@@ -200,17 +253,49 @@ def test_small_time_power_law():
 
 
 def test_heat_z_rows_equal_one_time_rows_bitwise():
-    # the ive route, the asymptotic route above 2^29, and a batch mixing both
+    # small and large times, a batch mixing both, and every block boundary
     for ts, nmax in (([0.3, 1.0, 7.5, 300.0, 2.0**20], 200),
                      ([2.0**30, 2.0**31, 3.0e9], 50),
-                     ([1.0, 2.0**30, 40.0], 50)):
+                     ([1.0, 2.0**30, 40.0], 50),
+                     ([39.0, 41.0, 2.0e8, 1.0e9], 12_000)):
         rows = heat_z_rows(ts, nmax)
         assert rows.shape == (len(ts), nmax + 1)
         for t, row in zip(ts, rows):
             assert np.array_equal(row, heat_z_row(t, nmax)), t
-            if t <= 2.0**29:
-                assert np.array_equal(row, scipy.special.ive(np.arange(nmax + 1), t)), t
-            else:
-                assert np.array_equal(row, _asymptotic_scaled_bessel_row(nmax, t)), t
+            ref = scipy.special.ive(np.arange(nmax + 1), t)
+            sure = ref > 1e-290  # ive returns NaN past t = 2^30
+            assert np.all(np.abs(row[sure] - ref[sure]) <= 1e-12 * ref[sure]), t
     with pytest.raises(ValueError, match="time must be positive"):
         heat_z_rows([1.0, math.nan], 4)
+
+
+def test_rows_match_library_on_time_grid():
+    # t = 2^-14..2^29 and one jittered time per octave, orders to 3,000;
+    # then one row out to order 45,000 at t = 1.1e6, where ive's own error
+    # reaches 1e-11 (2.6e-13 already at order 3,000 against mpmath, where
+    # the Debye row reads 5e-16)
+    rng = np.random.default_rng(12345)
+    ts = np.concatenate([2.0 ** np.arange(-14, 30), 2.0 ** (np.arange(-14, 29) + rng.random(43))])
+    for ts, nmax, rel in ((ts, 3000, 1e-12), ([1.1e6], 45_000, 1e-11)):
+        rows = heat_z_rows(ts, nmax)
+        ref = scipy.special.ive(np.arange(nmax + 1), np.asarray(ts)[:, None])
+        sure = ref > 1e-290
+        assert np.all(np.abs(rows[sure] - ref[sure]) <= rel * ref[sure])
+        assert np.all(rows[~sure] <= 1e-290)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-20.0, 40.0), st.floats(-20.0, 40.0), st.integers(0, 2500),
+       st.integers(0, 20_000))
+def test_row_properties(log2_t, log2_other, nmax, extra):
+    t = 2.0**log2_t
+    row = heat_z_rows([t, 2.0**log2_other], nmax)[0]
+    assert np.array_equal(row, heat_z_row(t, nmax))
+    assert np.array_equal(row, heat_z_rows([t], nmax + extra)[0, : nmax + 1])
+    assert np.all(np.isfinite(row)) and np.all(row >= 0.0)
+    assert np.all(np.diff(row) <= 0.0)
+    assert row[0] + 2.0 * np.sum(row[1:]) <= 1.0 + 1e-13
+    n = np.arange(1, nmax)
+    residual = row[n - 1] - row[n + 1] - (2.0 * n / t) * row[n]
+    sure = row[n + 1] > 1e-290
+    assert np.all(np.abs(residual[sure]) <= 1e-12 * row[n - 1][sure])
