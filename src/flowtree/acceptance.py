@@ -22,7 +22,7 @@ from .sums import CLAIMED_POWERS, KINDS
 from .tree import TreeParams, Vertex, distance
 from .zline import heat_z, heat_z_row, phi, recurrence_residual
 
-T_GRID = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
+T_GRID = tuple(4.0**i for i in range(11))
 EPS_GRID = (0.0, 1.0)
 
 

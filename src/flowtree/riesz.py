@@ -33,7 +33,7 @@ import numpy as np
 from . import sums
 from .heat import STENCILS, check_pair, jhat_rows, scaled_stencils
 from .tree import Rel, TreeParams, Vertex, distance, level, pair_strata
-from .zline import heat_z_row, phi
+from .zline import chernoff, heat_z_row
 
 DEFAULT_TOL = 1e-9
 
@@ -125,15 +125,10 @@ def _block_bound(n: int, dmax: int, params: TreeParams) -> np.ndarray:
 
 def _radius(n: int, weight, tol: float, min_radius: int) -> tuple[int, float]:
     """Smallest radius R >= max(min_radius, 1) past which piece n holds
-    weighted column mass at most tol by an a priori bound, and that bound.
-
-    The radius-k term of every kind at time t is at most the scan's term
-    bound (16/t)(k+1)(k+4) w(k) hz(t, k-1). On a block, hz(t, m) <=
-    exp(m phi(t/m)) (Chernoff, increasing in t, taken at the block end T,
-    log-concave in m with slope -asinh(m/T)); on (0, 1), hz(t, m) <=
-    (t/2)^m / m!. Either way the term ratios have a bound decreasing in
-    k, so the terms from k on sum to at most a geometric series.
-    """
+    weighted column mass at most tol by an a priori bound, and that bound:
+    the scan's term bound (:func:`sums._cut`) integrated over the piece, with
+    the Chernoff bound at the block end (it grows with t) on a block and the
+    power bound (t/2)^m / m! on (0, 1)."""
     lo = max(min_radius, 1) + 1
     cap = lo + 64 + int(10.0 * math.sqrt(2.0**(n + 1)))
     while True:
@@ -144,14 +139,12 @@ def _radius(n: int, weight, tol: float, min_radius: int) -> tuple[int, float]:
             log_h = -m * math.log(2.0) - log_fact - np.log(m - 0.5)
             rho = 0.5 / ks
         else:  # t^(-3/2) integrates over the block to 2^(1-n/2) (1 - 2^(-1/2))
-            big_t = 2.0**(n + 1)
-            log_h = math.log(2.0**(1.0 - 0.5 * n) * (1.0 - 2.0**-0.5)) + m * phi(big_t / m)
-            rho = np.exp(-np.arcsinh(m / big_t))
+            log_c, rho = chernoff(2.0**(n + 1), m)
+            log_h = math.log(2.0**(1.0 - 0.5 * n) * (1.0 - 2.0**-0.5)) + log_c
         poly = (ks + 1.0) * (ks + 4.0)
         log_b = log_h + np.log(16.0 / math.sqrt(math.pi) * poly) + weight.log_at(ks)
         rho = rho * weight.ratio_bound(ks) * (ks + 2.0) * (ks + 5.0) / poly
-        with np.errstate(over="ignore"):
-            beyond = np.where(rho < 1.0, np.exp(log_b) / (1.0 - rho), np.inf)
+        beyond = sums.geometric_tail(log_b, rho)
         if np.any(beyond <= tol):
             i = int(np.argmax(beyond <= tol))
             return int(ks[i]) - 1, float(beyond[i])

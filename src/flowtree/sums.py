@@ -14,15 +14,12 @@ pass, the four kernel kinds, their level-restricted profiles (one bucket
 per level offset), the comparable/incomparable split of the first
 gradient, and a certified bound for the truncated tail.
 
-:func:`scan_many` runs that pass for a whole vector of times in shared
-numpy arrays, from one block of line-kernel rows per round of the
-stopping rule; :func:`scan` is its one-time view, and each result equals
-the scan of that time alone.
-
-Tail certification uses three elementary facts, each also exercised by
-the test suite: the line kernel is non-increasing in the space variable,
-its one-step ratios are non-increasing (so an observed ratio bounds all
-later ones), and they are at most t / (2(n+1)).
+The cut is a priori: Chernoff and power-series bounds on the line kernel,
+both with non-increasing ratios, fix from t, the weight and tol alone the
+radius k_stop past which a geometric series bounds the rest by tol/2.
+:func:`scan_many` runs the pass for a vector of times in shared arrays, from
+one block of line-kernel rows sized for the largest k_stop; :func:`scan` is
+its one-time view, and each result equals the scan of that time alone.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 
 from .heat import STENCILS, jhat_from_z_rows, row_top, scaled_stencils
 from .tree import Rel, TreeParams
-from .zline import check_time, heat_z_rows
+from .zline import check_time, chernoff, heat_z_rows
 
 KINDS = ("H", "gradX", "gradY", "gradXY")
 
@@ -104,7 +101,8 @@ class SumSpec:
 
 @dataclass
 class ScanResult:
-    """Everything one stratum pass produces. Offsets index ``o + k_stop``."""
+    """Everything one stratum pass produces. Offsets index ``o + k_stop``;
+    ``tail`` is the a priori bound, at most tol/2, on each kind past k_stop."""
 
     t: float
     k_stop: int
@@ -121,33 +119,47 @@ class ScanResult:
         return float(self.offsets[kind][offset + self.k_stop])
 
 
-def _stop_indices(ts: np.ndarray, weight, hz: np.ndarray, cap: int,
-                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per time: first k <= cap whose certified tail falls below tol/2.
+def geometric_tail(log_first: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """exp(log_first) / (1 - rho), a bound on a series with first term at most
+    exp(log_first) and ratios at most rho; inf where rho >= 1."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.where(rho < 1.0, np.exp(log_first) / (1.0 - rho), np.inf)
 
-    Returns (k_stop, tail, found); rows with found False have no such k
-    within cap. A larger cap cannot move a row's first certified k.
-    """
-    ks = np.arange(cap + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_hz = np.log(hz[:, : cap + 1])
-        log16 = np.array([math.log(16.0 / t) for t in ts])
-        log_m = (log16[:, None] + weight.log_at(ks)
-                 + np.log((ks + 1.0) * (ks + 4.0)))
-    log_m[:, 1:] += log_hz[:, : cap]  # hz at k-1
-    k_idx = np.arange(1, cap + 1)
-    prev = hz[:, : cap]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_obs = np.where(prev > 0.0, hz[:, 1: cap + 1] / np.where(prev > 0, prev, 1.0), 0.0)
-    rho = (weight.ratio_bound(k_idx)
-           * ((k_idx + 2.0) * (k_idx + 5.0)) / ((k_idx + 1.0) * (k_idx + 4.0))
-           * np.minimum(r_obs, ts[:, None] / (2.0 * k_idx)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        tails = np.where(rho < 0.95, np.exp(log_m[:, 1:]) * rho / (1.0 - rho), np.inf)
-    good = (tails < 0.5 * tol) & (k_idx >= 8)
-    i = np.argmax(good, axis=1)
-    rows = np.arange(len(ts))
-    return k_idx[i], tails[rows, i], good[rows, i]
+
+def _cut(ts: np.ndarray, weight, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stop index and tail bound per time, known before any row exists: the
+    radius-j term of every kind is at most (16/t)(j+1)(j+4) w(j) hz(t, j-1),
+    with hz(t, m) at most exp(m phi(t/m)) (Chernoff) and (t/2)^m / m!. Under
+    either, the term ratios have a bound non-increasing in j, so the terms from
+    j on sum to at most a geometric series. k_stop is the first k >= 8 whose
+    smaller series from k + 1 on, the tail, is at most tol/2."""
+    k_stop, tail = np.empty(len(ts), dtype=int), np.empty(len(ts))
+    pending = np.arange(len(ts))
+    lo, cap = 9, int(72 + 10.0 * math.sqrt(float(ts.max()) + 1.0))
+    while pending.size:
+        if cap > 4_000_000:
+            raise RuntimeError(f"no k_stop <= 4,000,000 at t = {ts[pending].tolist()}")
+        j = np.arange(lo, cap + 1, dtype=float)  # first radius of the tail
+        m, t = j - 1.0, ts[pending, None]
+        log_w = weight.log_at(j)
+        with np.errstate(over="ignore"):  # past an infinite weight the sums are infinite
+            w = np.exp(log_w)
+        _check_finite(w[:1], f"t = {ts[pending].tolist()}", weight)
+        log_fact = np.cumsum(np.log(np.arange(1.0, cap)))[lo - 2:]  # log m!
+        log_b = np.log(16.0 / t) + np.log((j + 1.0) * (j + 4.0)) + log_w
+        rho = weight.ratio_bound(j) * (j + 2.0) * (j + 5.0) / ((j + 1.0) * (j + 4.0))
+        log_c, rho_c = chernoff(t, m)
+        tails = np.minimum(
+            geometric_tail(log_b + log_c, rho * rho_c),
+            geometric_tail(log_b + m * np.log(0.5 * t) - log_fact, rho * t / (2.0 * j)))
+        good = (tails <= 0.5 * tol) & np.isfinite(w)
+        found = good.any(axis=1)
+        i = np.argmax(good[found], axis=1)
+        k_stop[pending[found]] = lo - 1 + i
+        tail[pending[found]] = tails[found, i]
+        pending = pending[~found]
+        lo, cap = cap + 1, 2 * cap + 32
+    return k_stop, tail
 
 
 def _check_finite(values, at: str, weight) -> None:
@@ -237,34 +249,21 @@ def scan_many(params: TreeParams, ts, weight=None, tol: float = DEFAULT_TOL,
               signed: bool = False) -> list[ScanResult]:
     """One pass over sphere strata for all four kernel kinds, per time in ts.
 
-    All times share numpy passes: one heat_z row block per round of the
-    stopping rule serves the rule, the jhat rows and their truncation
-    bound. ``signed=True`` drops the absolute values (used for the mass
-    cancellation identities); the tail bound is unchanged since it
-    majorizes term magnitudes.
+    All times share numpy passes: the a priori cut fixes each k_stop, and
+    one heat_z row block, sized for the largest, serves the jhat rows and
+    their truncation bound. ``signed=True`` drops the absolute values (used
+    for the mass cancellation identities); the tail bound is unchanged since
+    it majorizes term magnitudes.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     check_time(ts)
     if weight is None:
         weight = ExpWeight(0.0)
-    results: list[ScanResult | None] = [None] * len(ts)
-    pending = np.arange(len(ts))
-    cap = int(32 + 10.0 * math.sqrt(float(ts.max(initial=0.0)) + 1.0) + 40)
-    while pending.size:
-        sub = ts[pending]
-        # wide enough for the jhat row of any k_stop <= cap
-        hz = heat_z_rows(sub, row_top(cap + 2, params, tol * 1e-3) + 2)
-        k_stop, tail, found = _stop_indices(sub, weight, hz, cap, tol)
-        if found.any():
-            done = _finish_scans(params, sub[found], weight, tol, signed, hz[found],
-                                 k_stop[found], tail[found])
-            for i, res in zip(pending[found], done):
-                results[i] = res
-        pending = pending[~found]
-        cap = 2 * cap + 32
-        if pending.size and cap > 4_000_000:  # pragma: no cover
-            raise RuntimeError("stratum scan failed to certify a tail")
-    return results
+    if not len(ts):
+        return []
+    k_stop, tail = _cut(ts, weight, tol)
+    hz = heat_z_rows(ts, row_top(int(k_stop.max()) + 2, params, tol * 1e-3) + 2)
+    return _finish_scans(params, ts, weight, tol, signed, hz, k_stop, tail)
 
 
 def scan(params: TreeParams, t: float, weight=None, tol: float = DEFAULT_TOL,

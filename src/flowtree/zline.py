@@ -27,6 +27,7 @@ estimate downstream.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -44,12 +45,12 @@ _CHUNK = 8192
 
 
 def check_time(t) -> None:
-    """Raise ValueError unless t, a time or an array of times, is positive
-    and finite (NaN fails too)."""
+    """Raise ValueError unless t, a time or an array of times, is finite and
+    normal: subnormal times overflow where the rows divide by t (NaN fails)."""
     ts = np.asarray(t, dtype=float)
-    bad = ~((ts > 0) & np.isfinite(ts))
+    bad = ~((ts >= sys.float_info.min) & np.isfinite(ts))
     if bad.any():
-        raise ValueError(f"time must be positive and finite, got {ts[bad].flat[0]}")
+        raise ValueError(f"time must be positive, normal and finite, got {ts[bad].flat[0]}")
 
 
 def heat_z(t: float, n: int, tol: float = DEFAULT_TOL, rtol: float = 1e-12) -> float:
@@ -226,6 +227,13 @@ def phi(x):
     if np.any(np.asarray(x) <= 0):
         raise ValueError(f"phi is defined on positive reals, got {x}")
     return 1.0 / (x + np.hypot(x, 1.0)) - np.arcsinh(1.0 / x)
+
+
+def chernoff(t, m):
+    """log of the bound heat_z(t, m) <= exp(m phi(t/m)), m > 0, and its ratio
+    bound exp(-asinh(m/t)) from m to m + 1, non-increasing in m since the log
+    bound is concave in m with slope -asinh(m/t). Elementwise on arrays."""
+    return m * phi(t / m), np.exp(-np.arcsinh(m / t))
 
 
 def _certified_row_extent(t: float, eps: float, tol: float) -> int:

@@ -145,16 +145,18 @@ def test_heat_matrix_matches_analytic_kernel():
 
 
 def test_finite_section_error_decreases_with_radius():
+    # radii whose truncation error (4.1e-6, 1.8e-8, 5.1e-11) stays far
+    # above the 3.5e-18 ulp of the value
     errs = []
     t = 1.0
-    for radius in (5, 7, 9):
+    for radius in (3, 4, 5):
         model = oracle.build_ball_model(P2, radius)
         E = oracle.orthonormal_heat_matrix(model, t)
         ci = model.index[model.center.word]
         jr = j_row(t, 2, P2, 1e-14)
         idx = next(i for i in range(model.size) if model.dist_center[i] == 2)
         errs.append(abs(E[idx, ci] - jr[2]))
-    assert errs[0] > errs[1] > errs[2]
+    assert errs[0] >= 100.0 * errs[1] and errs[1] >= 100.0 * errs[2]
 
 
 def test_radial_profile_matches_dense_column():

@@ -248,3 +248,26 @@ def test_block_column_sum_bounds_enumerated_ball():
     beyond = float(_composite_gauss(outside, 1.0, 2.0, 4)[0])
     assert col.value >= brute - 1e-12
     assert col.value - brute <= beyond + col.truncation + 1e-12
+
+
+def _small_time_term_bounds(weight, lo: int, hi: int) -> float:
+    """fsum over k = lo..hi-1 of the integrated term bound of the small-time
+    piece, (16/sqrt(pi))(k+1)(k+4) w(k) 2^(-m) / (m! (m - 1/2)), m = k - 1."""
+    return math.fsum(16.0 / math.sqrt(math.pi) * (k + 1) * (k + 4)
+                     * math.exp(float(weight.log_at(k))) * 2.0 ** -(k - 1)
+                     / (math.factorial(k - 1) * (k - 1.5)) for k in range(lo, hi))
+
+
+@pytest.mark.parametrize("weight, radius, bound", [
+    (sums.ExpWeight(0.0), 13, 3.9824750063368806e-12),
+    (sums.ExpWeight(1.0), 19, 2.020657778299383e-12),
+    (sums.PolyWeight(0.5, 2.0), 15, 4.1623355369175106e-13)])
+def test_small_time_radius_pinned_against_fsum(weight, radius, bound):
+    tol = 1e-11
+    r, b = riesz._radius(riesz.SMALL_TIME, weight, tol, 0)
+    assert r == radius and b == pytest.approx(bound, rel=1e-12)
+    # the geometric bound majorizes the term bounds past the radius, within
+    # 1 %, and one more term would carry them above tol
+    past = _small_time_term_bounds(weight, r + 1, r + 100)
+    assert past <= b <= 1.01 * past
+    assert _small_time_term_bounds(weight, r, r + 100) > tol

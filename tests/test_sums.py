@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from flowtree import sums
-from flowtree.heat import KernelQuery, grad_x, grad_xy, grad_y, kernel
+from flowtree import acceptance, sums
+from flowtree.heat import (KernelQuery, grad_x, grad_xy, grad_y, jhat_from_z_rows, kernel,
+                           row_top, scaled_stencils)
 from flowtree.sums import ExpWeight, PolyWeight, SumSpec, fit_decay
 from flowtree.tree import Rel, TreeParams, Vertex, distance, enumerate_ball, level, pair_strata
 
@@ -257,6 +258,73 @@ def test_scan_many_matches_scan(q, weight, signed):
             for kind, parts in one.grad_split.items():
                 _rel_close(res.grad_split[kind], parts, 1e-14)
     if weight == ExpWeight(0.7):
-        # the mixed batch does take two rounds of the stopping rule
-        cap = int(32 + 10.0 * math.sqrt(300.0 + 1.0) + 40)
-        assert sums.scan(params, 300.0, weight, 1e-10).k_stop > cap
+        # in the mixed batch the t = 300 cut lies past the first window of
+        # candidate radii, and the t = 1.3 row reads a small prefix of the
+        # one row block sized for t = 300
+        cap = int(72 + 10.0 * math.sqrt(300.0 + 1.0))
+        k_small, k_large = (r.k_stop for r in sums.scan_many(params, [1.3, 300.0], weight))
+        assert k_large > cap and 20 * k_small < k_large
+
+
+def test_hopeless_cuts_raise_before_any_row(monkeypatch):
+    monkeypatch.setattr(sums, "heat_z_rows", lambda *args: pytest.fail("rows were computed"))
+    with pytest.raises(RuntimeError, match="no k_stop <= 4,000,000"):
+        sums.scan(P2, 1e12)
+    # the weight turns infinite before any radius certifies the tail
+    with pytest.raises(OverflowError, match=r"t = \[1048576.0\].*ExpWeight\(rate=0.7\)"):
+        sums.scan(P2, 2.0**20, ExpWeight(0.7))
+
+
+def _terms_to(params, t, weight, kmax, tol):
+    """Actual |terms| of the four kinds for radii 0..kmax, from a row
+    computed out to kmax on its own."""
+    ts = np.array([t])
+    hz = sums.heat_z_rows(ts, row_top(kmax + 2, params, tol * 1e-3) + 2)
+    jhat, _ = jhat_from_z_rows(ts, hz, kmax + 2, params, tol * 1e-3)
+    st = {key: np.abs(a[:, : kmax + 1]) for key, a in scaled_stencils(jhat, params).items()}
+    return {kind: parts[0][0] for kind, parts in sums.stratum_terms(st, weight, params, "test")}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("t", [0.05, 1.0, 300.0, 4.0**8, 2.0**20])
+def test_a_priori_cut_certifies_the_tail(q, t):
+    # the reported tail bounds the actual mass past k_stop of every kind;
+    # rate 0.7 makes the weighted sums infinite past t = 300, so it is
+    # covered where they are finite
+    params, tol = TreeParams(q), 1e-10
+    weights = [ExpWeight(0.0), ExpWeight(1.0 / math.sqrt(t)), PolyWeight(0.3, 2.0)]
+    if t <= 300.0:
+        weights.append(ExpWeight(0.7))
+    for weight in weights:
+        res = sums.scan(params, t, weight, tol)
+        k = res.k_stop
+        assert 0.0 < res.tail <= 0.5 * tol, weight
+        # out to 2 k_stop, short of radius 1014 where exp(0.7 k) overflows
+        terms = _terms_to(params, t, weight, min(2 * k, 1000) if weight == ExpWeight(0.7)
+                          else 2 * k, tol)
+        for kind, v in terms.items():
+            assert math.fsum(v[k + 1:]) <= res.tail, (weight, kind)
+        # negative control: a cut at half the radius leaves real mass
+        assert max(math.fsum(v[k // 2 + 1:]) for v in terms.values()) > tol, weight
+
+
+def test_one_right_sized_row_block_per_scan(monkeypatch):
+    # over the criterion-5 grid, each scan computes one heat_z row block,
+    # exactly as wide as the jhat row of its k_stop needs
+    widths = []
+
+    def counting(ts, nmax):
+        rows = real(ts, nmax)
+        widths.append(rows.shape[1])
+        return rows
+
+    real = sums.heat_z_rows
+    monkeypatch.setattr(sums, "heat_z_rows", counting)
+    tol = 1e-10
+    for q in (2, 3):
+        for eps in acceptance.EPS_GRID:
+            for t in acceptance.T_GRID:
+                before = len(widths)
+                res = sums.scan(TreeParams(q), t, ExpWeight(eps / math.sqrt(t)), tol)
+                assert len(widths) == before + 1
+                assert widths[-1] == row_top(res.k_stop + 2, TreeParams(q), tol * 1e-3) + 3

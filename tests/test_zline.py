@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ def test_nonfinite_time_rejected(t):
         heat_z(t, 1)
     with pytest.raises(ValueError, match="time must be positive"):
         heat_z_row(t, 4)
+
+
+def test_subnormal_time_rejected_tiny_normal_time_kept():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = heat_z_rows([1e-300], 3)[0]
+        assert row[0] == 1.0 and row[1] == pytest.approx(0.5e-300, rel=1e-15)
+        with pytest.raises(ValueError, match="time must be positive, normal"):
+            heat_z_rows([1e-310], 3)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 10.0])
